@@ -1,14 +1,11 @@
 """End-to-end experiment runners and their report types.
 
 Each runner is deterministic under a fixed master seed: trial i always
-uses seed master_seed + i, and aggregation does not depend on execution
-order. Set QUANTBAND_THREADS > 1 to run trials on a thread pool.
+uses seed master_seed + i.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,23 +66,6 @@ def standard_bands(nyquist_hz: float) -> list[tuple[str, float, float]]:
             f"Nyquist frequency {nyquist_hz} Hz leaves no room for a Gamma band"
         )
     return [*BAND_EDGES, ("gamma", GAMMA_LOW_HZ, nyquist_hz)]
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("QUANTBAND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_trials(fn, n_trials: int) -> list:
-    """Evaluate fn(trial_index) for every trial, preserving index order."""
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(i) for i in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_trials)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +196,7 @@ def run_validation(cfg: ValidationConfig) -> ValidationReport:
     that trial; Nyquist-flagged depths are excluded.
     """
     predicted = scaling_ratio(cfg.alpha)
-    per_trial = _run_trials(lambda i: _trial_cutoffs(cfg, i), cfg.trials)
+    per_trial = [_trial_cutoffs(cfg, i) for i in range(cfg.trials)]
 
     per_bit: list[BitCutoffStats] = []
     excluded_bits: list[int] = []
@@ -314,12 +294,10 @@ def run_noise_color_sweep(
     cells: list[NoiseColorCell] = []
     n_min: dict[float, int | None] = {}
     for alpha in alphas:
-        signals = _run_trials(
-            lambda i, a=alpha: synthesize(
-                SynthesisSpec(a, n_samples, sample_rate_hz, seed=master_seed + i)
-            ),
-            trials,
-        )
+        signals = [
+            synthesize(SynthesisSpec(alpha, n_samples, sample_rate_hz, seed=master_seed + i))
+            for i in range(trials)
+        ]
         first_white = None
         for bits in range(n_lo, n_hi + 1):
             qcfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)

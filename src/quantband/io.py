@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -74,7 +75,7 @@ def _parse_csv_row(line: str, channel: int, row: int, path: str) -> float:
         raise MalformedSampleError(
             f"could not parse {text!r} as a number", path=path, location=f"row {row}"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NonFiniteSampleError(
             f"sample is {text}", path=path, location=f"row {row}"
         )
@@ -151,7 +152,7 @@ def write_signal(signal: Signal, spec: SignalFileSpec) -> None:
     """Write a signal; raw round-trips bit-exactly, CSV to 17 significant digits."""
     path = Path(spec.path)
     if spec.format == FORMAT_CSV:
-        lines = "\n".join(f"{x:.17g}" for x in signal.samples)
+        lines = "\n".join(f"{x:.17g}" for x in signal.samples.tolist())
         path.write_text(lines + "\n")
     else:
         path.write_bytes(signal.samples.astype("<f8").tobytes())

@@ -196,27 +196,6 @@ def measure_noise_slope(
     )
 
 
-def mean_noise_slope(
-    alpha: float,
-    bits: int,
-    trials: int,
-    master_seed: int,
-    n_samples: int = 100_000,
-    sample_rate_hz: float = 2000.0,
-) -> float:
-    """Mean quantization-noise slope over independent trials.
-
-    Trial i uses seed master_seed + i, so results do not depend on
-    execution order.
-    """
-    cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
-    slopes = []
-    for i in range(trials):
-        spec = SynthesisSpec(alpha, n_samples, sample_rate_hz, seed=master_seed + i)
-        slopes.append(measure_noise_slope(synthesize(spec), cfg).noise_slope)
-    return float(np.mean(slopes))
-
-
 def find_n_min(
     alpha: float,
     bit_range: tuple[int, int],

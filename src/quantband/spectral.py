@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import ValidationError
 from .noise import Signal
@@ -66,6 +65,27 @@ class SpectralFit:
         return 10.0**self.intercept_log10
 
 
+def _welch_density(
+    x: np.ndarray, fs: float, segment_len: int, noverlap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Welch density over the last axis of ``x`` (Welch 1967).
+
+    Segments of ``segment_len`` samples start every ``segment_len -
+    noverlap`` samples; samples past the last whole segment are dropped.
+    Each segment has its mean removed and a periodic Hann window applied.
+    Returns the full rfft grid, DC included.
+    """
+    step = segment_len - noverlap
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len, axis=-1)[..., ::step, :]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    spectra = np.fft.rfft((segments - segments.mean(axis=-1, keepdims=True)) * window, axis=-1)
+    power = (spectra.real**2 + spectra.imag**2).mean(axis=-2) / (fs * np.dot(window, window))
+    # Fold the negative frequencies in: every bin but DC and, for even
+    # lengths, Nyquist appears twice in the two-sided spectrum.
+    power[..., 1 : segment_len - segment_len // 2] *= 2.0
+    return np.fft.rfftfreq(segment_len, 1.0 / fs), power
+
+
 def welch_psd(
     signal: Signal,
     segment_len: int = DEFAULT_SEGMENT_LEN,
@@ -85,14 +105,11 @@ def welch_psd(
         raise ValidationError(f"segment length too small: {segment_len}")
     if not 0 <= overlap_fraction < 1:
         raise ValidationError(f"overlap fraction must be in [0, 1), got {overlap_fraction}")
-    freqs, power = scipy.signal.welch(
+    freqs, power = _welch_density(
         signal.samples,
-        fs=signal.sample_rate_hz,
-        window="hann",
-        nperseg=segment_len,
-        noverlap=int(overlap_fraction * segment_len),
-        detrend="constant",
-        scaling="density",
+        signal.sample_rate_hz,
+        segment_len,
+        int(overlap_fraction * segment_len),
     )
     df = float(freqs[1] - freqs[0])
     return Psd(freqs[1:], power[1:], df)

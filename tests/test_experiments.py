@@ -1,4 +1,3 @@
-import os
 from dataclasses import replace
 
 import pytest
@@ -51,15 +50,6 @@ class TestRunValidation:
     def test_empirical_floor_method_runs(self):
         rep = run_validation(replace(SMALL, floor_method="empirical"))
         assert rep.ratios
-
-    def test_order_independent_under_threads(self):
-        serial = run_validation(SMALL)
-        os.environ["QUANTBAND_THREADS"] = "4"
-        try:
-            threaded = run_validation(SMALL)
-        finally:
-            del os.environ["QUANTBAND_THREADS"]
-        assert serial == threaded
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValidationError):

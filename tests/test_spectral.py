@@ -65,6 +65,61 @@ class TestWelchPsd:
             welch_psd(Signal(np.zeros(8192), 100.0), overlap_fraction=1.0)
 
 
+def scipy_welch_psd(x: np.ndarray, fs: float, segment_len: int, overlap_fraction: float):
+    """The reference: scipy's Welch with the settings welch_psd documents."""
+    scipy_signal = pytest.importorskip("scipy.signal")
+    freqs, power = scipy_signal.welch(
+        x,
+        fs=fs,
+        window="hann",
+        nperseg=segment_len,
+        noverlap=int(overlap_fraction * segment_len),
+        detrend="constant",
+        scaling="density",
+    )
+    return freqs[1:], power[1:]
+
+
+def assert_matches_scipy(x: np.ndarray, fs: float, segment_len: int, overlap_fraction: float):
+    psd = welch_psd(Signal(x, fs), segment_len, overlap_fraction)
+    freqs, power = scipy_welch_psd(x, fs, segment_len, overlap_fraction)
+    assert np.array_equal(psd.freqs_hz, freqs)
+    # FFT rounding scales with the whole spectrum, so the rare bin that
+    # lands a million times under the median gets an absolute bound.
+    np.testing.assert_allclose(psd.power, power, rtol=1e-12, atol=1e-12 * np.median(power))
+
+
+class TestWelchScipyParity:
+    @pytest.mark.parametrize(
+        "n_samples, segment_len, overlap",
+        # 10_001 is a multiple of no segment step here, so the tail that
+        # fits no whole segment must be dropped as scipy drops it; the
+        # last two cases are a single segment of even and odd length.
+        [
+            (n, seg, overlap)
+            for n in (10_001, 2**15)
+            for seg in (64, 65, 4096)
+            for overlap in (0.0, 0.5, 0.75)
+        ]
+        + [(4096, 4096, 0.5), (4095, 4095, 0.5)],
+    )
+    def test_matches_scipy(self, n_samples, segment_len, overlap):
+        x = np.random.default_rng(5).standard_normal(n_samples) + 3.0
+        assert_matches_scipy(x, 2000.0, segment_len, overlap)
+
+    @given(
+        n_samples=st.integers(8, 5000),
+        len_fraction=st.floats(0.0, 1.0),
+        overlap=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_for_any_length_and_overlap(self, n_samples, len_fraction, overlap, seed):
+        segment_len = 8 + round(len_fraction * (n_samples - 8))
+        x = np.random.default_rng(seed).standard_normal(n_samples)
+        assert_matches_scipy(x, 1000.0, segment_len, overlap)
+
+
 class TestFitSlope:
     def test_exact_inverse_square(self):
         fit = fit_slope(power_law_psd(2.0), (1.0, 1000.0))
