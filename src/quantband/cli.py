@@ -44,12 +44,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-# Defaults for the peak-robustness experiment: cutoffs at these settings
-# land near 83 Hz (5 bits) and 166 Hz (6 bits), so a 100 Hz peak sits in
-# the cutoff region while a 10 Hz peak stays far below it.
-PEAKS_BASE = ValidationConfig(
-    alpha=2.0, sample_rate_hz=2000.0, n_samples=100_000, bit_range=(5, 6), trials=20
-)
 DEFAULT_PEAKS = (PeakSpec(10.0, 2.0, 50.0), PeakSpec(100.0, 20.0, 0.25))
 
 
@@ -212,6 +206,8 @@ def cmd_noise_color(args) -> int:
         if args.preset != "paper-table2":
             raise ValidationError(f"unknown preset {args.preset!r}; expected 'paper-table2'")
         params = dict(TABLE2_PRESET)
+    elif not args.alpha:
+        raise ValidationError("give --preset paper-table2 or at least one --alpha")
     else:
         params = {
             "alphas": args.alpha,
@@ -360,17 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_sensitivity)
 
-    p = sub.add_parser("peaks", help="validation error with spectral peaks injected")
-    p.add_argument("--preset", help="optional validation preset for the base config")
-    p.add_argument("--alpha", type=float, default=PEAKS_BASE.alpha)
-    p.add_argument("--fs", type=float, default=PEAKS_BASE.sample_rate_hz)
-    p.add_argument("--n", type=int, default=PEAKS_BASE.n_samples)
-    p.add_argument("--bits", default="5:6", help="bit range lo:hi")
-    p.add_argument("--trials", type=int, default=PEAKS_BASE.trials)
-    p.add_argument("--floor", choices=["theoretical", "empirical"], default="theoretical")
+    p = experiment_parser(
+        "peaks",
+        "validation error with spectral peaks injected",
+        "optional validation preset for the base config",
+    )
     p.add_argument("--peak", action="append", metavar="C:W:A", help="repeatable")
-    _add_common(p)
-    p.set_defaults(fn=cmd_peaks)
+    # Cutoffs at 2 kHz land near 83 Hz (5 bits) and 166 Hz (6 bits), so a
+    # 100 Hz peak sits in the cutoff region while a 10 Hz peak stays far
+    # below it.
+    p.set_defaults(fn=cmd_peaks, fs=2000.0, bits="5:6")
 
     p = sub.add_parser("bands", help="band power preservation under quantization")
     p.add_argument("--in", dest="infile", required=True)

@@ -6,7 +6,7 @@ uses seed master_seed + i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,8 +31,9 @@ from .scaling import (
     FLOOR_THEORETICAL,
     WHITE_SLOPE_THRESHOLD,
     CutoffEstimate,
+    NoiseColorCell,
     detect_cutoff,
-    measure_noise_slope,
+    noise_color_cells,
     predicted_cutoff,
     scaling_ratio,
 )
@@ -131,6 +132,13 @@ class ValidationReport:
     measured_ratio_std: float
     mean_error: float
     excluded_bits: list[int]
+
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        header = ["alpha", "bits", "mean_f_c_hz", "std_f_c_hz", "valid_trials", "excluded"]
+        return header, [
+            [self.config.alpha, b.bits, b.mean_f_c_hz, b.std_f_c_hz, b.valid_trials, b.excluded]
+            for b in self.per_bit_cutoffs
+        ]
 
 
 def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> dict[int, float]:
@@ -255,14 +263,6 @@ def run_validation(cfg: ValidationConfig) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class NoiseColorCell:
-    alpha: float
-    bits: int
-    noise_slope: float
-    is_white: bool
-
-
-@dataclass(frozen=True)
 class NoiseColorSweepReport:
     alphas: list[float]
     bit_range: tuple[int, int]
@@ -272,6 +272,10 @@ class NoiseColorSweepReport:
     master_seed: int
     cells: list[NoiseColorCell]
     n_min: dict[float, int | None]
+
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        header = ["alpha", "bits", "noise_slope", "is_white"]
+        return header, [[c.alpha, c.bits, c.noise_slope, c.is_white] for c in self.cells]
 
 
 def run_noise_color_sweep(
@@ -288,31 +292,17 @@ def run_noise_color_sweep(
     Whiteness at each cell is judged on the mean slope across trials;
     n_min per alpha is the first white bit depth in the range.
     """
-    n_lo, n_hi = int(bit_range[0]), int(bit_range[1])
-    if n_lo < 1 or n_lo > n_hi:
-        raise ValidationError(f"invalid bit range {bit_range}")
-    cells: list[NoiseColorCell] = []
-    n_min: dict[float, int | None] = {}
-    for alpha in alphas:
-        signals = [
-            synthesize(SynthesisSpec(alpha, n_samples, sample_rate_hz, seed=master_seed + i))
-            for i in range(trials)
-        ]
-        first_white = None
-        for bits in range(n_lo, n_hi + 1):
-            qcfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
-            slopes = [measure_noise_slope(sig, qcfg).noise_slope for sig in signals]
-            mean_slope = float(np.mean(slopes))
-            white = abs(mean_slope) < white_threshold
-            if white and first_white is None:
-                first_white = bits
-            cells.append(
-                NoiseColorCell(alpha=alpha, bits=bits, noise_slope=mean_slope, is_white=white)
-            )
-        n_min[alpha] = first_white
+    cells = [
+        cell
+        for alpha in alphas
+        for cell in noise_color_cells(
+            alpha, bit_range, trials, master_seed, n_samples, sample_rate_hz, white_threshold
+        )
+    ]
+    n_min = {a: next((c.bits for c in cells if c.alpha == a and c.is_white), None) for a in alphas}
     return NoiseColorSweepReport(
         alphas=list(alphas),
-        bit_range=(n_lo, n_hi),
+        bit_range=(int(bit_range[0]), int(bit_range[1])),
         trials=trials,
         n_samples=n_samples,
         sample_rate_hz=sample_rate_hz,
@@ -336,6 +326,12 @@ class SensitivityReport:
     measured_ratio: float
     baseline_rel_error: float
     rows: list[SensitivityRow]
+
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        header = ["delta_alpha", "perturbed_alpha", "predicted_ratio", "rel_error"]
+        return header, [
+            [r.delta_alpha, r.perturbed_alpha, r.predicted_ratio, r.rel_error] for r in self.rows
+        ]
 
 
 def run_sensitivity(cfg: ValidationConfig, perturbations: list[float]) -> SensitivityReport:
@@ -382,6 +378,15 @@ class PeakRobustnessReport:
     baseline: ValidationReport
     rows: list[PeakRobustnessRow]
 
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        header = ["center_hz", "width_hz", "amplitude_factor",
+                  "mean_rel_error", "measured_ratio", "error_vs_baseline"]
+        return header, [
+            [r.peak.center_hz, r.peak.width_hz, r.peak.amplitude_factor,
+             r.mean_rel_error, r.measured_ratio, r.error_vs_baseline]
+            for r in self.rows
+        ]
+
 
 def run_peak_robustness(base: ValidationConfig, peaks: list[PeakSpec]) -> PeakRobustnessReport:
     """Validation error with each spectral peak injected, one at a time.
@@ -423,6 +428,13 @@ class BandPowerReport:
     sample_rate_hz: float
     n_samples: int
     rows: list[BandPowerRow]
+
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        header = ["band", "f_low_hz", "f_high_hz", "power_original", "power_quantized", "ratio", "preserved"]
+        return header, [
+            [r.band, r.f_low_hz, r.f_high_hz, r.power_original, r.power_quantized, r.ratio, r.preserved]
+            for r in self.rows
+        ]
 
 
 def run_band_power(
@@ -489,6 +501,9 @@ class AnalysisReport:
     cutoff_empirical: CutoffEstimate
     predicted_cutoff_hz: float
     predicted_exceeds_nyquist: bool
+
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        return ["field", "value"], [[f.name, getattr(self, f.name)] for f in fields(self)]
 
 
 def analyze_signal(

@@ -26,14 +26,6 @@ from .errors import (
     UnreadableFileError,
     ValidationError,
 )
-from .experiments import (
-    AnalysisReport,
-    BandPowerReport,
-    NoiseColorSweepReport,
-    PeakRobustnessReport,
-    SensitivityReport,
-    ValidationReport,
-)
 from .noise import Signal
 
 FORMAT_CSV = "csv"
@@ -195,53 +187,18 @@ def report_to_dict(report) -> dict:
     }
 
 
-def _csv_rows(report) -> tuple[list[str], list[list]]:
-    if isinstance(report, NoiseColorSweepReport):
-        header = ["alpha", "bits", "noise_slope", "is_white"]
-        rows = [[c.alpha, c.bits, c.noise_slope, c.is_white] for c in report.cells]
-    elif isinstance(report, ValidationReport):
-        header = ["alpha", "bits", "mean_f_c_hz", "std_f_c_hz", "valid_trials", "excluded"]
-        rows = [
-            [report.config.alpha, b.bits, b.mean_f_c_hz, b.std_f_c_hz, b.valid_trials, b.excluded]
-            for b in report.per_bit_cutoffs
-        ]
-    elif isinstance(report, SensitivityReport):
-        header = ["delta_alpha", "perturbed_alpha", "predicted_ratio", "rel_error"]
-        rows = [[r.delta_alpha, r.perturbed_alpha, r.predicted_ratio, r.rel_error] for r in report.rows]
-    elif isinstance(report, PeakRobustnessReport):
-        header = [
-            "center_hz", "width_hz", "amplitude_factor",
-            "mean_rel_error", "measured_ratio", "error_vs_baseline",
-        ]
-        rows = [
-            [r.peak.center_hz, r.peak.width_hz, r.peak.amplitude_factor,
-             r.mean_rel_error, r.measured_ratio, r.error_vs_baseline]
-            for r in report.rows
-        ]
-    elif isinstance(report, BandPowerReport):
-        header = ["band", "f_low_hz", "f_high_hz", "power_original", "power_quantized", "ratio", "preserved"]
-        rows = [
-            [r.band, r.f_low_hz, r.f_high_hz, r.power_original, r.power_quantized, r.ratio, r.preserved]
-            for r in report.rows
-        ]
-    elif isinstance(report, AnalysisReport):
-        header = ["field", "value"]
-        rows = [[k, v] for k, v in _jsonable(report).items()]
-    else:
-        raise ValidationError(f"no CSV schema for report type {type(report).__name__}")
-    return header, rows
-
-
 def write_report(report, path, format: str = "json") -> None:
-    """Serialize an experiment report to JSON or CSV."""
+    """Serialize a report to JSON, or its ``csv_table()`` to CSV with JSON's cell values."""
     path = Path(path)
     if format == "json":
         path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
     elif format == "csv":
-        header, rows = _csv_rows(report)
+        if not hasattr(report, "csv_table"):
+            raise ValidationError(f"no CSV schema for report type {type(report).__name__}")
+        header, rows = report.csv_table()
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerows(_jsonable(rows))
     else:
         raise ValidationError(f"unknown report format {format!r}")

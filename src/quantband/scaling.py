@@ -9,14 +9,15 @@ quantization error itself is spectrally white.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoUsableBandError, ValidationError
 from .noise import Signal, SYNTH_FULL_SCALE, SynthesisSpec, synthesize
-from .quantizer import QuantizerConfig, error_signal, quantize
-from .spectral import Psd, default_fit_band, fit_slope, welch_psd
+from .quantizer import QuantizerConfig, error_signal, quantize, theoretical_noise_floor
+from .spectral import DEFAULT_SEGMENT_LEN, Psd, default_fit_band, fit_slope, welch_psd
 
 # Crossing detector: moving-average width (bins) and required run length.
 SMOOTH_WINDOW = 9
@@ -45,6 +46,14 @@ class CutoffEstimate:
 class NoiseColorReport:
     """Spectral slope of the quantization error at one bit depth."""
 
+    bits: int
+    noise_slope: float
+    is_white: bool
+
+
+@dataclass(frozen=True)
+class NoiseColorCell:
+    alpha: float
     bits: int
     noise_slope: float
     is_white: bool
@@ -80,10 +89,9 @@ def predicted_cutoff(
         raise ValidationError(
             f"cutoff is not finite for alpha={alpha}, s0={s0}, bits={cfg.bits}"
         )
-    floor = cfg.step**2 / (6.0 * sample_rate_hz)
     return CutoffEstimate(
         f_c_hz=float(f_c),
-        floor_value=floor,
+        floor_value=theoretical_noise_floor(cfg, sample_rate_hz),
         floor_method=FLOOR_THEORETICAL,
         exceeded_nyquist=bool(f_c > sample_rate_hz / 2.0),
     )
@@ -186,7 +194,7 @@ def measure_noise_slope(
     quantized = quantize(signal, cfg)
     err = error_signal(signal, quantized)
     if segment_len is None:
-        segment_len = min(4096, err.n_samples)
+        segment_len = min(DEFAULT_SEGMENT_LEN, err.n_samples)
     psd = welch_psd(err, segment_len)
     fit = fit_slope(psd, default_fit_band(psd))
     return NoiseColorReport(
@@ -194,6 +202,37 @@ def measure_noise_slope(
         noise_slope=fit.slope,
         is_white=bool(abs(fit.slope) < white_threshold),
     )
+
+
+def noise_color_cells(
+    alpha: float,
+    bit_range: tuple[int, int],
+    trials: int,
+    master_seed: int,
+    n_samples: int = 100_000,
+    sample_rate_hz: float = 2000.0,
+    white_threshold: float = WHITE_SLOPE_THRESHOLD,
+) -> Iterator[NoiseColorCell]:
+    """Noise-color cells of one alpha, one per bit depth in increasing order.
+
+    Trial i (seed master_seed + i) is synthesized once and quantized at
+    every depth; a cell is white when |mean slope| < ``white_threshold``.
+    Cells are computed lazily, so a caller can stop at the first white one.
+    """
+    n_lo, n_hi = int(bit_range[0]), int(bit_range[1])
+    if n_lo < 1 or n_lo > n_hi:
+        raise ValidationError(f"invalid bit range {bit_range}")
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    signals = [
+        synthesize(SynthesisSpec(alpha, n_samples, sample_rate_hz, seed=master_seed + i))
+        for i in range(trials)
+    ]
+    for bits in range(n_lo, n_hi + 1):
+        cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
+        slopes = [measure_noise_slope(sig, cfg).noise_slope for sig in signals]
+        mean_slope = float(np.mean(slopes))
+        yield NoiseColorCell(alpha, bits, mean_slope, abs(mean_slope) < white_threshold)
 
 
 def find_n_min(
@@ -208,18 +247,10 @@ def find_n_min(
     """Smallest bit depth in range whose mean noise slope is white.
 
     Whiteness is decided on the mean slope across trials. Returns None
-    when no bit depth in the range qualifies.
+    when no bit depth in the range qualifies; depths past the first white
+    one are never computed.
     """
-    n_lo, n_hi = bit_range
-    if n_lo > n_hi:
-        raise ValidationError(f"empty bit range {bit_range}")
-    signals = [
-        synthesize(SynthesisSpec(alpha, n_samples, sample_rate_hz, seed=master_seed + i))
-        for i in range(trials)
-    ]
-    for bits in range(n_lo, n_hi + 1):
-        cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
-        slopes = [measure_noise_slope(sig, cfg).noise_slope for sig in signals]
-        if abs(float(np.mean(slopes))) < white_threshold:
-            return bits
-    return None
+    cells = noise_color_cells(
+        alpha, bit_range, trials, master_seed, n_samples, sample_rate_hz, white_threshold
+    )
+    return next((cell.bits for cell in cells if cell.is_white), None)

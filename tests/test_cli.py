@@ -217,6 +217,29 @@ class TestExperimentCommands:
         assert code == 0
         assert stdout.strip() == "4"
 
+    def test_noise_color_without_alpha_or_preset_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "nc.json"
+        code, _, err = run(capsys, "noise-color", "--out", str(out))
+        assert code == 2
+        assert "--alpha" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nmin", "--alpha", "2", "--trials", "0"],
+            ["noise-color", "--alpha", "2", "--trials", "0"],
+        ],
+    )
+    def test_zero_trials_exits_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "nc.json"
+        extra = ["--out", str(out)] if argv[0] == "noise-color" else []
+        code, stdout, err = run(capsys, *argv, *extra)
+        assert code == 2
+        assert "trials" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_unknown_command_raises_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

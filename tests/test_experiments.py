@@ -15,6 +15,7 @@ from quantband.experiments import (
 )
 from quantband.noise import PeakSpec, Signal, SynthesisSpec, synthesize
 from quantband.quantizer import QuantizerConfig
+from quantband.scaling import find_n_min
 
 SMALL = ValidationConfig(
     alpha=2.0, sample_rate_hz=2000.0, n_samples=30_000, bit_range=(5, 6), trials=3
@@ -108,6 +109,13 @@ class TestRunNoiseColorSweep:
             n_samples=30_000, sample_rate_hz=2000.0, master_seed=5,
         )
         assert run_noise_color_sweep(**kwargs) == run_noise_color_sweep(**kwargs)
+
+    @pytest.mark.parametrize("alpha", [2.0, 2.5])
+    def test_n_min_matches_find_n_min(self, alpha):
+        # At these settings alpha 2 turns white at 7 bits; alpha 2.5 never does.
+        r, trials, n, fs, seed = (4, 8), 2, 30_000, 2000.0, 5
+        sweep = run_noise_color_sweep([alpha], r, trials, n, fs, seed)
+        assert find_n_min(alpha, r, trials, seed, n, fs) == sweep.n_min[alpha]
 
 
 class TestRunBandPower:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +13,16 @@ from quantband.errors import (
     UnreadableFileError,
     ValidationError,
 )
-from quantband.experiments import ValidationConfig, run_noise_color_sweep, run_validation
+from quantband.experiments import (
+    AnalysisReport,
+    ValidationConfig,
+    analyze_signal,
+    run_band_power,
+    run_noise_color_sweep,
+    run_peak_robustness,
+    run_sensitivity,
+    run_validation,
+)
 from quantband.io import (
     FORMAT_CSV,
     FORMAT_RAW,
@@ -22,7 +32,8 @@ from quantband.io import (
     write_report,
     write_signal,
 )
-from quantband.noise import Signal
+from quantband.noise import PeakSpec, Signal, SynthesisSpec, synthesize
+from quantband.quantizer import QuantizerConfig
 
 
 class TestReadCsv:
@@ -133,6 +144,7 @@ class TestWriteSignal:
 SMALL = ValidationConfig(
     alpha=2.0, sample_rate_hz=2000.0, n_samples=30_000, bit_range=(5, 6), trials=2
 )
+EEG_PROXY = synthesize(SynthesisSpec(1.56, 8192, 160.0, seed=1))
 
 
 class TestWriteReport:
@@ -156,15 +168,63 @@ class TestWriteReport:
             assert key in body
         assert body["config"]["alpha"] == 2.0
 
-    def test_noise_color_csv_columns(self, tmp_path):
-        rep = run_noise_color_sweep(
-            [1.0], (4, 5), trials=2, n_samples=30_000, sample_rate_hz=2000.0, master_seed=3
-        )
+    @pytest.mark.parametrize(
+        "make, header, n_rows",
+        [
+            pytest.param(
+                lambda: run_noise_color_sweep(
+                    [1.0], (4, 5), trials=2, n_samples=30_000, sample_rate_hz=2000.0,
+                    master_seed=3,
+                ),
+                "alpha,bits,noise_slope,is_white",
+                2,
+                id="noise-color",
+            ),
+            pytest.param(
+                lambda: run_validation(SMALL),
+                "alpha,bits,mean_f_c_hz,std_f_c_hz,valid_trials,excluded",
+                2,
+                id="validation",
+            ),
+            pytest.param(
+                lambda: run_sensitivity(SMALL, [-0.1, 0.0, 0.1]),
+                "delta_alpha,perturbed_alpha,predicted_ratio,rel_error",
+                3,
+                id="sensitivity",
+            ),
+            pytest.param(
+                lambda: run_peak_robustness(SMALL, [PeakSpec(10.0, 2.0, 50.0)]),
+                "center_hz,width_hz,amplitude_factor,mean_rel_error,measured_ratio,"
+                "error_vs_baseline",
+                1,
+                id="peaks",
+            ),
+            pytest.param(
+                lambda: run_band_power(EEG_PROXY, QuantizerConfig(6, 2.0)),
+                "band,f_low_hz,f_high_hz,power_original,power_quantized,ratio,preserved",
+                5,
+                id="bands",
+            ),
+            pytest.param(
+                lambda: analyze_signal(EEG_PROXY, QuantizerConfig(6, 2.0)),
+                "field,value",
+                len(dataclasses.fields(AnalysisReport)),
+                id="analysis",
+            ),
+        ],
+    )
+    def test_csv_columns(self, make, header, n_rows, tmp_path):
         out = tmp_path / "rep.csv"
-        write_report(rep, out, "csv")
+        write_report(make(), out, "csv")
         lines = out.read_text().splitlines()
-        assert lines[0] == "alpha,bits,noise_slope,is_white"
-        assert len(lines) == 3
+        assert lines[0] == header
+        assert len(lines) == 1 + n_rows
+
+    def test_csv_needs_a_table(self, tmp_path):
+        out = tmp_path / "rep.csv"
+        with pytest.raises(ValidationError, match="no CSV schema for report type object"):
+            write_report(object(), out, "csv")
+        assert not out.exists()
 
     def test_reruns_identical_apart_from_timestamp(self, tmp_path):
         rep = run_validation(SMALL)
