@@ -4,33 +4,64 @@
 Covers: scaling-law validation with theoretical and empirical noise
 floors for alpha in {1.5, 2.0, 2.5}, the noise-color table for alpha=2,
 N_min per alpha, alpha-sensitivity, spectral-peak robustness, and the
-band-power preservation proxy at 160 Hz.
+band-power preservation proxy at 160 Hz (a synthesized signal written to
+eeg-proxy.f64, then quantized at 4, 6 and 8 bits).
+
+Every experiment is a quantband CLI command, echoed and then run in this
+process through ``quantband.cli.main``, so the console lines are the
+CLI's own. A command that fails does not stop the battery; the script
+exits 2 if any command exited 2 (bad arguments), and 0 otherwise.
 
 Usage: python scripts/run_all_experiments.py [--out results] [--seed 1234]
 """
 
 import argparse
 import pathlib
+import shlex
 import sys
-from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from quantband.errors import NoMeasurableBandError
-from quantband.experiments import (
-    DEFAULT_SEED,
-    TABLE2_PRESET,
-    VALIDATION_PRESETS,
-    run_band_power,
-    run_noise_color_sweep,
-    run_peak_robustness,
-    run_sensitivity,
-    run_validation,
-)
-from quantband.io import write_report
-from quantband.noise import PeakSpec, SynthesisSpec, synthesize
-from quantband.quantizer import QuantizerConfig
-from quantband.scaling import find_n_min
+from quantband.cli import EXIT_USAGE
+from quantband.cli import main as quantband
+from quantband.experiments import DEFAULT_SEED, VALIDATION_PRESETS
+
+FLOORS = ("theoretical", "empirical")
+NMIN_ALPHAS = ("1", "1.5", "2", "2.5", "3")
+PROXY_BITS = ("4", "6", "8")
+
+
+def commands(out: str, seed: str) -> list[list[str]]:
+    """The argv of every command in the battery, in order."""
+    proxy = f"{out}/eeg-proxy.f64"
+    return [
+        *(
+            ["validate", "--preset", preset, "--floor", floor, "--seed", seed,
+             "--out", f"{out}/validation-{preset}-{floor}.json"]
+            for preset in VALIDATION_PRESETS
+            for floor in FLOORS
+        ),
+        ["noise-color", "--preset", "paper-table2", "--seed", seed,
+         "--format", "csv", "--out", f"{out}/noise-color-alpha2.csv"],
+        *(["nmin", "--alpha", alpha, "--seed", seed] for alpha in NMIN_ALPHAS),
+        ["sensitivity", "--preset", "paper-alpha20", "--seed", seed,
+         "--out", f"{out}/sensitivity-alpha2.json"],
+        ["peaks", "--seed", seed, "--out", f"{out}/peak-robustness.json"],
+        ["synth", "--alpha", "1.56", "--n", "8192", "--fs", "160", "--seed", seed, "--out", proxy],
+        *(
+            ["bands", "--in", proxy, "--fs", "160", "--bits", bits, "--range", "2",
+             "--format", "csv", "--out", f"{out}/band-power-{bits}bit.csv"]
+            for bits in PROXY_BITS
+        ),
+    ]
+
+
+def run(argv: list[str]) -> int:
+    print(f"$ quantband {shlex.join(argv)}", flush=True)
+    try:
+        return quantband(argv)
+    except SystemExit as exc:  # argparse rejected the argv
+        return exc.code
 
 
 def main() -> int:
@@ -39,65 +70,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()
 
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    for name, preset in VALIDATION_PRESETS.items():
-        for floor in ("theoretical", "empirical"):
-            cfg = replace(preset, master_seed=args.seed, floor_method=floor)
-            tag = f"{name}-{floor}"
-            try:
-                report = run_validation(cfg)
-            except NoMeasurableBandError as exc:
-                print(f"{tag}: SKIPPED ({exc})")
-                continue
-            write_report(report, out / f"validation-{tag}.json", "json")
-            print(
-                f"{tag}: ratio {report.measured_ratio_mean:.3f} "
-                f"+/- {report.measured_ratio_std:.3f} "
-                f"(predicted {report.predicted_ratio:.3f}, "
-                f"error {report.mean_error * 100:.1f}%, "
-                f"excluded {report.excluded_bits or 'none'})"
-            )
-
-    sweep = run_noise_color_sweep(master_seed=args.seed, **TABLE2_PRESET)
-    write_report(sweep, out / "noise-color-alpha2.csv", "csv")
-    for cell in sweep.cells:
-        print(f"noise color alpha={cell.alpha} N={cell.bits}: "
-              f"slope {cell.noise_slope:+.3f} ({'white' if cell.is_white else 'colored'})")
-
-    for alpha in (1.0, 1.5, 2.0, 2.5, 3.0):
-        n_min = find_n_min(alpha, (4, 12), trials=20, master_seed=args.seed)
-        print(f"N_min(alpha={alpha}) = {'none up to 12 bits' if n_min is None else n_min}")
-
-    sens_cfg = replace(VALIDATION_PRESETS["paper-alpha20"], master_seed=args.seed)
-    sens = run_sensitivity(sens_cfg, [-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3])
-    write_report(sens, out / "sensitivity-alpha2.json", "json")
-    for row in sens.rows:
-        print(f"sensitivity delta={row.delta_alpha:+.1f}: error {row.rel_error * 100:.1f}%")
-
-    peaks_cfg = replace(
-        VALIDATION_PRESETS["paper-alpha20"],
-        sample_rate_hz=2000.0, bit_range=(5, 6), master_seed=args.seed,
-    )
-    peaks = run_peak_robustness(
-        peaks_cfg, [PeakSpec(10.0, 2.0, 50.0), PeakSpec(100.0, 20.0, 0.25)]
-    )
-    write_report(peaks, out / "peak-robustness.json", "json")
-    print(f"peaks baseline error: {peaks.baseline.mean_error * 100:.2f}%")
-    for row in peaks.rows:
-        print(f"peak {row.peak.center_hz:g} Hz x{row.peak.amplitude_factor:g}: "
-              f"error {row.mean_rel_error * 100:.2f}%")
-
-    proxy = synthesize(SynthesisSpec(1.56, 8192, 160.0, seed=args.seed))
-    for bits in (4, 6, 8):
-        report = run_band_power(proxy, QuantizerConfig(bits=bits, full_scale=2.0))
-        write_report(report, out / f"band-power-{bits}bit.csv", "csv")
-        summary = ", ".join(f"{r.band} {r.ratio:.2f}" for r in report.rows)
-        print(f"band power at {bits} bits: {summary}")
-
-    print(f"\nreports written to {out}/")
-    return 0
+    pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)
+    battery = commands(args.out, str(args.seed))
+    codes = [run(argv) for argv in battery]
+    failed = sum(code != 0 for code in codes)
+    print(f"\nreports written to {args.out}/; {failed} of {len(battery)} commands failed")
+    return EXIT_USAGE if EXIT_USAGE in codes else 0
 
 
 if __name__ == "__main__":

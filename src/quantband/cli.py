@@ -18,9 +18,9 @@ from . import __version__
 from .errors import QuantbandError, SignalIoError, ValidationError
 from .experiments import (
     DEFAULT_SEED,
-    TABLE2_PRESET,
+    NOISE_COLOR_DEFAULTS,
+    NOISE_COLOR_PRESETS,
     VALIDATION_PRESETS,
-    ValidationConfig,
     analyze_signal,
     run_band_power,
     run_noise_color_sweep,
@@ -36,7 +36,7 @@ from .io import (
     write_report,
     write_signal,
 )
-from .noise import PeakSpec, SynthesisSpec, synthesize
+from .noise import PeakSpec, Signal, SynthesisSpec, synthesize
 from .quantizer import QuantizerConfig
 from .scaling import find_n_min
 
@@ -44,7 +44,26 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
+# Base config of validate and sensitivity when --preset is not given.
+VALIDATION_BASE = VALIDATION_PRESETS["paper-alpha20"]
+# Cutoffs at 2 kHz land near 83 Hz (5 bits) and 166 Hz (6 bits), so a
+# 100 Hz peak sits in the cutoff region while a 10 Hz peak stays far
+# below it.
+PEAKS_BASE = replace(VALIDATION_BASE, sample_rate_hz=2000.0, bit_range=(5, 6))
 DEFAULT_PEAKS = (PeakSpec(10.0, 2.0, 50.0), PeakSpec(100.0, 20.0, 0.25))
+SENSITIVITY_DELTAS = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
+
+# Grid flag (argparse dest) -> the config field it overrides.
+GRID_FIELDS = {
+    "alpha": "alpha",
+    "alphas": "alphas",
+    "fs": "sample_rate_hz",
+    "n": "n_samples",
+    "bits": "bit_range",
+    "trials": "trials",
+    "floor": "floor_method",
+    "seed": "master_seed",
+}
 
 
 def _parse_peak(text: str) -> PeakSpec:
@@ -101,42 +120,45 @@ def _emit(args, report, default_name: str) -> None:
         print(f"report written to {out}")
 
 
-def _full_scale_for(signal, override: float | None) -> float:
-    # Full-scale mapping: the quantizer range covers the signal exactly,
-    # matching the synthetic convention (peak 1, R = 2).
-    if override is not None:
-        return override
-    peak = float(np.max(np.abs(signal.samples)))
-    if peak == 0:
-        raise ValidationError("signal is identically zero; pass --range explicitly")
-    return 2.0 * peak
+def _load_signal(args) -> tuple[Signal, QuantizerConfig]:
+    """The input signal of analyze/bands and its quantizer.
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-    parser.add_argument("--out", help="output path (default derived from the command)")
-    parser.add_argument("--format", choices=["json", "csv"], default="json", help="report format")
-    parser.add_argument(
-        "--quiet", action="store_true", help="print only the output path"
+    Without --range the quantizer range covers the signal exactly (2 *
+    max|x|), matching the synthetic convention (peak 1, R = 2).
+    """
+    fmt = _signal_format(args.infile, args.file_format)
+    signal = read_signal(
+        SignalFileSpec(args.infile, fmt, args.fs, channel_index=args.channel)
     )
+    full_scale = args.range
+    if full_scale is None:
+        peak = float(np.max(np.abs(signal.samples)))
+        if peak == 0:
+            raise ValidationError("signal is identically zero; pass --range explicitly")
+        full_scale = 2.0 * peak
+    return signal, QuantizerConfig(bits=args.bits, full_scale=full_scale)
 
 
-def _validation_config(args) -> ValidationConfig:
-    if args.preset:
-        if args.preset not in VALIDATION_PRESETS:
-            raise ValidationError(
-                f"unknown preset {args.preset!r}; choose from {sorted(VALIDATION_PRESETS)}"
-            )
-        cfg = VALIDATION_PRESETS[args.preset]
-    else:
-        cfg = ValidationConfig(
-            alpha=args.alpha,
-            sample_rate_hz=args.fs,
-            n_samples=args.n,
-            bit_range=_parse_bit_range(args.bits),
-            trials=args.trials,
-        )
-    return replace(cfg, master_seed=args.seed, floor_method=args.floor)
+def _config(args, presets: dict, base):
+    """The run's config: the --preset entry of ``presets`` (``base`` if none is
+    given) with every grid flag the user gave applied over it.
+
+    ``base`` is a ValidationConfig, overridden with ``dataclasses.replace``,
+    or a dict of runner keyword arguments, overridden by a merge.
+    """
+    preset = getattr(args, "preset", None)
+    if preset:
+        if preset not in presets:
+            raise ValidationError(f"unknown preset {preset!r}; choose from {sorted(presets)}")
+        base = presets[preset]
+    given = {
+        name: getattr(args, dest)
+        for dest, name in GRID_FIELDS.items()
+        if getattr(args, dest, None) is not None
+    }
+    if "bit_range" in given:
+        given["bit_range"] = _parse_bit_range(given["bit_range"])
+    return {**base, **given} if isinstance(base, dict) else replace(base, **given)
 
 
 def cmd_synth(args) -> int:
@@ -158,12 +180,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    fmt = _signal_format(args.infile, args.file_format)
-    signal = read_signal(
-        SignalFileSpec(args.infile, fmt, args.fs, channel_index=args.channel)
-    )
-    cfg = QuantizerConfig(bits=args.bits, full_scale=_full_scale_for(signal, args.range))
-    report = analyze_signal(signal, cfg)
+    report = analyze_signal(*_load_signal(args))
     if not args.quiet:
         print(f"samples:            {report.n_samples} at {report.sample_rate_hz} Hz")
         print(f"fitted alpha:       {report.alpha_hat:.3f}")
@@ -188,7 +205,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _validation_config(args)
+    cfg = _config(args, VALIDATION_PRESETS, VALIDATION_BASE)
     report = run_validation(cfg)
     _say(
         args,
@@ -202,21 +219,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_noise_color(args) -> int:
-    if args.preset:
-        if args.preset != "paper-table2":
-            raise ValidationError(f"unknown preset {args.preset!r}; expected 'paper-table2'")
-        params = dict(TABLE2_PRESET)
-    elif not args.alpha:
+    params = _config(args, NOISE_COLOR_PRESETS, NOISE_COLOR_DEFAULTS)
+    if "alphas" not in params:
         raise ValidationError("give --preset paper-table2 or at least one --alpha")
-    else:
-        params = {
-            "alphas": args.alpha,
-            "bit_range": _parse_bit_range(args.bits),
-            "trials": args.trials,
-            "n_samples": args.n,
-            "sample_rate_hz": args.fs,
-        }
-    report = run_noise_color_sweep(master_seed=args.seed, **params)
+    report = run_noise_color_sweep(**params)
     for alpha in report.alphas:
         n_min = report.n_min[alpha]
         _say(args, f"alpha={alpha}: N_min={'none' if n_min is None else n_min}")
@@ -225,8 +231,8 @@ def cmd_noise_color(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    cfg = _validation_config(args)
-    report = run_sensitivity(cfg, args.delta)
+    cfg = _config(args, VALIDATION_PRESETS, VALIDATION_BASE)
+    report = run_sensitivity(cfg, args.delta or list(SENSITIVITY_DELTAS))
     worst = max(report.rows, key=lambda r: r.rel_error)
     _say(
         args,
@@ -238,7 +244,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_peaks(args) -> int:
-    cfg = _validation_config(args)
+    cfg = _config(args, VALIDATION_PRESETS, PEAKS_BASE)
     peaks = [_parse_peak(p) for p in args.peak] if args.peak else list(DEFAULT_PEAKS)
     report = run_peak_robustness(cfg, peaks)
     _say(args, f"baseline error {report.baseline.mean_error * 100:.2f}%")
@@ -253,11 +259,7 @@ def cmd_peaks(args) -> int:
 
 
 def cmd_bands(args) -> int:
-    fmt = _signal_format(args.infile, args.file_format)
-    signal = read_signal(
-        SignalFileSpec(args.infile, fmt, args.fs, channel_index=args.channel)
-    )
-    cfg = QuantizerConfig(bits=args.bits, full_scale=_full_scale_for(signal, args.range))
+    signal, cfg = _load_signal(args)
     bands = [_parse_band(b) for b in args.band] if args.band else None
     report = run_band_power(signal, cfg, bands)
     for row in report.rows:
@@ -271,13 +273,28 @@ def cmd_bands(args) -> int:
 
 
 def cmd_nmin(args) -> int:
-    lo, hi = _parse_bit_range(args.bits)
-    result = find_n_min(
-        args.alpha, (lo, hi), trials=args.trials, master_seed=args.seed,
-        n_samples=args.n, sample_rate_hz=args.fs,
-    )
+    result = find_n_min(**_config(args, {}, NOISE_COLOR_DEFAULTS))
     print("none" if result is None else result)
     return EXIT_OK
+
+
+def _add_output(
+    parser: argparse.ArgumentParser,
+    out_help: str = "output path (default derived from the command)",
+) -> None:
+    parser.add_argument("--out", help=out_help)
+    parser.add_argument("--format", choices=["json", "csv"], default="json", help="report format")
+    parser.add_argument("--quiet", action="store_true", help="print only the output path")
+
+
+def _add_grid(parser: argparse.ArgumentParser, **alpha) -> None:
+    # No defaults: a flag the user does not give keeps the base config's value.
+    parser.add_argument("--alpha", type=float, **alpha)
+    parser.add_argument("--fs", type=float, help="sample rate in Hz")
+    parser.add_argument("--n", type=int, help="samples per trial")
+    parser.add_argument("--bits", help="bit range lo:hi")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,92 +319,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("analyze", help="fit, quantize and locate cutoffs for a signal file")
-    p.add_argument("--in", dest="infile", required=True, help="input signal file")
-    p.add_argument("--fs", type=float, required=True, help="sample rate in Hz")
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--range", type=float, help="full-scale range (default: 2 * max|x|)")
-    p.add_argument("--channel", type=int, default=0, help="CSV column index")
-    p.add_argument("--file-format", choices=["csv", "raw"])
-    p.add_argument("--out", help="optionally write the report here")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(fn=cmd_analyze)
-
-    def experiment_parser(name, help_text, preset_help):
+    def signal_parser(name, help_text):
         q = sub.add_parser(name, help=help_text)
-        q.add_argument("--preset", help=preset_help)
-        q.add_argument("--alpha", type=float, default=2.0)
-        q.add_argument("--fs", type=float, default=20_000.0)
-        q.add_argument("--n", type=int, default=100_000)
-        q.add_argument("--bits", default="7:12", help="bit range lo:hi")
-        q.add_argument("--trials", type=int, default=20)
-        q.add_argument(
-            "--floor", choices=["theoretical", "empirical"], default="theoretical"
-        )
-        _add_common(q)
+        q.add_argument("--in", dest="infile", required=True, help="input signal file")
+        q.add_argument("--fs", type=float, required=True, help="sample rate in Hz")
+        q.add_argument("--bits", type=int, required=True)
+        q.add_argument("--range", type=float, help="full-scale range (default: 2 * max|x|)")
+        q.add_argument("--channel", type=int, default=0, help="CSV column index")
+        q.add_argument("--file-format", choices=["csv", "raw"])
         return q
 
-    p = experiment_parser(
-        "validate",
-        "measure cutoff ratios across bit depths vs 2^(2/alpha)",
-        "paper-alpha15 | paper-alpha20 | paper-alpha25",
-    )
-    p.set_defaults(fn=cmd_validate)
+    p = signal_parser("analyze", "fit, quantize and locate cutoffs for a signal file")
+    _add_output(p, "optionally write the report here")
+    p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("noise-color", help="quantization-noise slope over an (alpha, bits) grid")
-    p.add_argument("--preset", help="paper-table2")
-    p.add_argument("--alpha", type=float, action="append", help="repeatable")
-    p.add_argument("--bits", default="4:12", help="bit range lo:hi")
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--fs", type=float, default=2000.0)
-    p.add_argument("--trials", type=int, default=20)
-    _add_common(p)
-    p.set_defaults(fn=cmd_noise_color)
+    def experiment_parser(name, help_text, fn, presets=VALIDATION_PRESETS, **alpha):
+        q = sub.add_parser(name, help=help_text)
+        q.add_argument(
+            "--preset", help=f"base config, one of {' | '.join(presets)}; flags override it"
+        )
+        _add_grid(q, **alpha)
+        # Validation runs also choose their noise floor.
+        if presets is VALIDATION_PRESETS:
+            q.add_argument("--floor", choices=["theoretical", "empirical"])
+        _add_output(q)
+        q.set_defaults(fn=fn)
+        return q
 
+    experiment_parser(
+        "validate", "measure cutoff ratios across bit depths vs 2^(2/alpha)", cmd_validate
+    )
+    experiment_parser(
+        "noise-color", "quantization-noise slope over an (alpha, bits) grid", cmd_noise_color,
+        NOISE_COLOR_PRESETS, dest="alphas", action="append", metavar="ALPHA", help="repeatable",
+    )
     p = experiment_parser(
-        "sensitivity",
-        "scaling prediction error under perturbed alpha",
-        "paper-alpha15 | paper-alpha20 | paper-alpha25",
+        "sensitivity", "scaling prediction error under perturbed alpha", cmd_sensitivity
     )
-    p.add_argument(
-        "--delta", type=float, action="append",
-        default=None, help="alpha perturbation (repeatable)",
-    )
-    p.set_defaults(fn=cmd_sensitivity)
-
-    p = experiment_parser(
-        "peaks",
-        "validation error with spectral peaks injected",
-        "optional validation preset for the base config",
-    )
+    p.add_argument("--delta", type=float, action="append", help="alpha perturbation (repeatable)")
+    p = experiment_parser("peaks", "validation error with spectral peaks injected", cmd_peaks)
     p.add_argument("--peak", action="append", metavar="C:W:A", help="repeatable")
-    # Cutoffs at 2 kHz land near 83 Hz (5 bits) and 166 Hz (6 bits), so a
-    # 100 Hz peak sits in the cutoff region while a 10 Hz peak stays far
-    # below it.
-    p.set_defaults(fn=cmd_peaks, fs=2000.0, bits="5:6")
 
-    p = sub.add_parser("bands", help="band power preservation under quantization")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--fs", type=float, required=True)
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--range", type=float, help="full-scale range (default: 2 * max|x|)")
-    p.add_argument("--channel", type=int, default=0)
-    p.add_argument("--file-format", choices=["csv", "raw"])
+    p = signal_parser("bands", "band power preservation under quantization")
     p.add_argument(
         "--band", action="append", metavar="NAME:LO:HI",
         help="band definition (repeatable; default delta..gamma)",
     )
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_bands)
 
     p = sub.add_parser("nmin", help="smallest bit depth with white quantization noise")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--bits", default="4:12")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--fs", type=float, default=2000.0)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_grid(p, required=True)
     p.set_defaults(fn=cmd_nmin)
 
     return parser
@@ -396,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "sensitivity" and args.delta is None:
-        args.delta = [-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3]
     try:
         return args.fn(args)
     except ValidationError as exc:

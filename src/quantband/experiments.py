@@ -21,7 +21,6 @@ from .noise import (
 )
 from .quantizer import (
     QuantizerConfig,
-    error_signal,
     quantize,
     saturation_count,
     theoretical_noise_floor,
@@ -29,10 +28,10 @@ from .quantizer import (
 from .scaling import (
     FLOOR_EMPIRICAL,
     FLOOR_THEORETICAL,
-    WHITE_SLOPE_THRESHOLD,
     CutoffEstimate,
     NoiseColorCell,
     detect_cutoff,
+    measure_noise_slope,
     noise_color_cells,
     predicted_cutoff,
     scaling_ratio,
@@ -285,7 +284,6 @@ def run_noise_color_sweep(
     n_samples: int = 100_000,
     sample_rate_hz: float = 2000.0,
     master_seed: int = DEFAULT_SEED,
-    white_threshold: float = WHITE_SLOPE_THRESHOLD,
 ) -> NoiseColorSweepReport:
     """Mean quantization-noise slope over an (alpha, bits) grid.
 
@@ -295,9 +293,7 @@ def run_noise_color_sweep(
     cells = [
         cell
         for alpha in alphas
-        for cell in noise_color_cells(
-            alpha, bit_range, trials, master_seed, n_samples, sample_rate_hz, white_threshold
-        )
+        for cell in noise_color_cells(alpha, bit_range, trials, master_seed, n_samples, sample_rate_hz)
     ]
     n_min = {a: next((c.bits for c in cells if c.alpha == a and c.is_white), None) for a in alphas}
     return NoiseColorSweepReport(
@@ -441,13 +437,11 @@ def run_band_power(
     signal: Signal,
     cfg: QuantizerConfig,
     bands: list[tuple[str, float, float]] | None = None,
-    segment_len: int | None = None,
 ) -> BandPowerReport:
     """Quantized-to-original band power ratios from Welch PSDs."""
     if bands is None:
         bands = standard_bands(signal.nyquist_hz)
-    if segment_len is None:
-        segment_len = min(DEFAULT_SEGMENT_LEN, signal.n_samples)
+    segment_len = min(DEFAULT_SEGMENT_LEN, signal.n_samples)
     for _, f_low, f_high in bands:
         if not (0 < f_low < f_high <= signal.nyquist_hz):
             raise ValidationError(
@@ -506,22 +500,15 @@ class AnalysisReport:
         return ["field", "value"], [[f.name, getattr(self, f.name)] for f in fields(self)]
 
 
-def analyze_signal(
-    signal: Signal,
-    cfg: QuantizerConfig,
-    segment_len: int | None = None,
-) -> AnalysisReport:
+def analyze_signal(signal: Signal, cfg: QuantizerConfig) -> AnalysisReport:
     """Run the per-signal pipeline: fit the spectrum, quantize, locate cutoffs."""
-    if segment_len is None:
-        segment_len = min(DEFAULT_SEGMENT_LEN, signal.n_samples)
+    segment_len = min(DEFAULT_SEGMENT_LEN, signal.n_samples)
     psd = welch_psd(signal, segment_len)
     fit = fit_slope(psd, default_fit_band(psd))
-    quantized = quantize(signal, cfg)
-    err = error_signal(signal, quantized)
-    err_fit = fit_slope(welch_psd(err, segment_len), default_fit_band(psd))
+    noise = measure_noise_slope(signal, cfg)
 
     floor_th = theoretical_noise_floor(cfg, signal.sample_rate_hz)
-    floor_emp = empirical_noise_floor(welch_psd(quantized, segment_len))
+    floor_emp = empirical_noise_floor(welch_psd(quantize(signal, cfg), segment_len))
     cut_th = detect_cutoff(psd, floor_th, FLOOR_THEORETICAL)
     cut_emp = detect_cutoff(psd, floor_emp, FLOOR_EMPIRICAL)
 
@@ -540,8 +527,8 @@ def analyze_signal(
         s0_hat=fit.s0_hat,
         fit_band_hz=fit.fit_band_hz,
         fit_rms_residual=fit.rms_residual,
-        noise_slope=err_fit.slope,
-        noise_is_white=bool(abs(err_fit.slope) < WHITE_SLOPE_THRESHOLD),
+        noise_slope=noise.noise_slope,
+        noise_is_white=noise.is_white,
         saturated_samples=saturation_count(signal, cfg),
         theoretical_floor=floor_th,
         empirical_floor=floor_emp,
@@ -566,11 +553,16 @@ VALIDATION_PRESETS: dict[str, ValidationConfig] = {
     ),
 }
 
-# Noise-color sweep preset: alpha = 2 over bits 4-8.
-TABLE2_PRESET = {
-    "alphas": [2.0],
-    "bit_range": (4, 8),
+# Base grid of the noise-color sweep and of N_min, as keyword arguments of
+# ``run_noise_color_sweep`` without ``alphas``.
+NOISE_COLOR_DEFAULTS = {
+    "bit_range": (4, 12),
     "trials": 20,
     "n_samples": 100_000,
     "sample_rate_hz": 2000.0,
+}
+
+# Noise-color sweep presets: table 2 is alpha = 2 over bits 4-8.
+NOISE_COLOR_PRESETS = {
+    "paper-table2": {**NOISE_COLOR_DEFAULTS, "alphas": [2.0], "bit_range": (4, 8)},
 }

@@ -136,13 +136,11 @@ def detect_cutoff(
     psd: Psd,
     floor_value: float,
     floor_method: str = FLOOR_THEORETICAL,
-    smooth_window: int = SMOOTH_WINDOW,
-    min_run: int = MIN_RUN,
 ) -> CutoffEstimate:
     """Find the lowest frequency where the PSD sinks under a noise floor.
 
     log10 power is smoothed with a centered moving average, and the
-    crossing must stay below the floor for ``min_run`` consecutive bins.
+    crossing must stay below the floor for MIN_RUN consecutive bins.
     The first bin of that run locates the crossing; the reported
     frequency is where a log-log line fitted to the PSD over half an
     octave around that bin meets the floor (see ``_refine_crossing``).
@@ -154,7 +152,7 @@ def detect_cutoff(
         raise ValidationError(f"floor must be positive, got {floor_value}")
     tiny = np.finfo(np.float64).tiny
     log_power = np.log10(np.maximum(psd.power, tiny))
-    smoothed = _smooth(log_power, smooth_window)
+    smoothed = _smooth(log_power, SMOOTH_WINDOW)
     below = smoothed < np.log10(floor_value)
 
     if below.all():
@@ -162,9 +160,9 @@ def detect_cutoff(
             f"noise floor {floor_value:.3e} lies above the entire PSD; no usable band"
         )
 
-    if below.size >= min_run:
-        run_lengths = np.convolve(below.astype(np.int64), np.ones(min_run, dtype=np.int64), mode="valid")
-        starts = np.nonzero(run_lengths == min_run)[0]
+    if below.size >= MIN_RUN:
+        run_lengths = np.convolve(below.astype(np.int64), np.ones(MIN_RUN, dtype=np.int64), mode="valid")
+        starts = np.nonzero(run_lengths == MIN_RUN)[0]
         if starts.size:
             return CutoffEstimate(
                 f_c_hz=_refine_crossing(psd, floor_value, float(psd.freqs_hz[starts[0]])),
@@ -181,26 +179,19 @@ def detect_cutoff(
     )
 
 
-def measure_noise_slope(
-    signal: Signal,
-    cfg: QuantizerConfig,
-    white_threshold: float = WHITE_SLOPE_THRESHOLD,
-    segment_len: int | None = None,
-) -> NoiseColorReport:
+def measure_noise_slope(signal: Signal, cfg: QuantizerConfig) -> NoiseColorReport:
     """Quantize, extract e[n], and fit the slope of its PSD.
 
-    The error is white when |slope| stays below ``white_threshold``.
+    The error is white when |slope| stays below WHITE_SLOPE_THRESHOLD.
     """
     quantized = quantize(signal, cfg)
     err = error_signal(signal, quantized)
-    if segment_len is None:
-        segment_len = min(DEFAULT_SEGMENT_LEN, err.n_samples)
-    psd = welch_psd(err, segment_len)
+    psd = welch_psd(err, min(DEFAULT_SEGMENT_LEN, err.n_samples))
     fit = fit_slope(psd, default_fit_band(psd))
     return NoiseColorReport(
         bits=cfg.bits,
         noise_slope=fit.slope,
-        is_white=bool(abs(fit.slope) < white_threshold),
+        is_white=bool(abs(fit.slope) < WHITE_SLOPE_THRESHOLD),
     )
 
 
@@ -211,12 +202,11 @@ def noise_color_cells(
     master_seed: int,
     n_samples: int = 100_000,
     sample_rate_hz: float = 2000.0,
-    white_threshold: float = WHITE_SLOPE_THRESHOLD,
 ) -> Iterator[NoiseColorCell]:
     """Noise-color cells of one alpha, one per bit depth in increasing order.
 
     Trial i (seed master_seed + i) is synthesized once and quantized at
-    every depth; a cell is white when |mean slope| < ``white_threshold``.
+    every depth; a cell is white when |mean slope| < WHITE_SLOPE_THRESHOLD.
     Cells are computed lazily, so a caller can stop at the first white one.
     """
     n_lo, n_hi = int(bit_range[0]), int(bit_range[1])
@@ -232,7 +222,7 @@ def noise_color_cells(
         cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
         slopes = [measure_noise_slope(sig, cfg).noise_slope for sig in signals]
         mean_slope = float(np.mean(slopes))
-        yield NoiseColorCell(alpha, bits, mean_slope, abs(mean_slope) < white_threshold)
+        yield NoiseColorCell(alpha, bits, mean_slope, abs(mean_slope) < WHITE_SLOPE_THRESHOLD)
 
 
 def find_n_min(
@@ -242,7 +232,6 @@ def find_n_min(
     master_seed: int,
     n_samples: int = 100_000,
     sample_rate_hz: float = 2000.0,
-    white_threshold: float = WHITE_SLOPE_THRESHOLD,
 ) -> int | None:
     """Smallest bit depth in range whose mean noise slope is white.
 
@@ -250,7 +239,5 @@ def find_n_min(
     when no bit depth in the range qualifies; depths past the first white
     one are never computed.
     """
-    cells = noise_color_cells(
-        alpha, bit_range, trials, master_seed, n_samples, sample_rate_hz, white_threshold
-    )
+    cells = noise_color_cells(alpha, bit_range, trials, master_seed, n_samples, sample_rate_hz)
     return next((cell.bits for cell in cells if cell.is_white), None)

@@ -1,3 +1,5 @@
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -6,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from quantband.cli import main
+import quantband.cli
+from quantband.cli import build_parser, main
+from quantband.experiments import ValidationConfig
+from quantband.noise import PeakSpec
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -240,17 +247,111 @@ class TestExperimentCommands:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, section, expected",
+        [
+            (
+                ["validate", "--preset", "paper-alpha20", "--alpha", "2.5", "--fs", "2000",
+                 "--n", "30000", "--bits", "5:6", "--trials", "2"],
+                "config",
+                {"alpha": 2.5, "sample_rate_hz": 2000.0, "n_samples": 30000,
+                 "bit_range": [5, 6], "trials": 2},
+            ),
+            (
+                ["noise-color", "--preset", "paper-table2", "--bits", "4:5", "--trials", "1",
+                 "--n", "30000"],
+                None,
+                {"alphas": [2.0], "bit_range": [4, 5], "trials": 1, "n_samples": 30000,
+                 "sample_rate_hz": 2000.0},
+            ),
+        ],
+    )
+    def test_flags_override_the_preset(self, argv, section, expected, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        report = json.loads(out.read_text())["report"]
+        config = report[section] if section else report
+        assert {k: config[k] for k in expected} == expected
+
     def test_unknown_command_raises_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
 
 
+class _Resolved(Exception):
+    pass
+
+
+# Without a preset and with no grid flag given, each experiment command
+# runs these literal settings.
+VALIDATION_DEFAULTS = ValidationConfig(
+    alpha=2.0, sample_rate_hz=20_000.0, n_samples=100_000, bit_range=(7, 12), trials=20
+)
+NOISE_GRID_DEFAULTS = {
+    "bit_range": (4, 12), "trials": 20, "n_samples": 100_000, "sample_rate_hz": 2000.0,
+    "master_seed": 1234,
+}
+
+
+class TestBaseConfigs:
+    @pytest.mark.parametrize(
+        "argv, runner, expected",
+        [
+            (["validate"], "run_validation", {"cfg": VALIDATION_DEFAULTS}),
+            (
+                ["sensitivity"],
+                "run_sensitivity",
+                {"cfg": VALIDATION_DEFAULTS,
+                 "perturbations": [-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3]},
+            ),
+            (
+                ["peaks"],
+                "run_peak_robustness",
+                {"base": ValidationConfig(
+                    alpha=2.0, sample_rate_hz=2000.0, n_samples=100_000, bit_range=(5, 6),
+                    trials=20),
+                 "peaks": [PeakSpec(10.0, 2.0, 50.0), PeakSpec(100.0, 20.0, 0.25)]},
+            ),
+            (
+                ["noise-color", "--alpha", "2"],
+                "run_noise_color_sweep",
+                {"alphas": [2.0], **NOISE_GRID_DEFAULTS},
+            ),
+            (["nmin", "--alpha", "2"], "find_n_min", {"alpha": 2.0, **NOISE_GRID_DEFAULTS}),
+        ],
+    )
+    def test_no_grid_flags_resolve_to_the_defaults(self, argv, runner, expected, monkeypatch):
+        signature = inspect.signature(getattr(quantband.cli, runner))
+
+        def resolved(*args, **kwargs):
+            raise _Resolved(signature.bind(*args, **kwargs).arguments)
+
+        monkeypatch.setattr(quantband.cli, runner, resolved)
+        with pytest.raises(_Resolved) as exc:
+            main(argv)
+        assert exc.value.args[0] == expected
+
+
+def test_battery_script_commands_parse():
+    spec = importlib.util.spec_from_file_location(
+        "run_all_experiments", REPO / "scripts" / "run_all_experiments.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    battery = script.commands("results", "1234")
+    assert battery
+    parser = build_parser()
+    for argv in battery:
+        parser.parse_args(argv)
+
+
 class TestColdStart:
     def test_cli_import_leaves_scipy_unloaded(self):
         # The CLI's cold start is dominated by whatever it imports; scipy
         # alone once cost over a second of it.
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        src = str(REPO / "src")
         env = {**os.environ, "PYTHONPATH": src}
         probe = (
             "import sys, quantband.cli\n"
