@@ -21,6 +21,7 @@ from .noise import (
 )
 from .quantizer import (
     QuantizerConfig,
+    error_signal,
     quantize,
     saturation_count,
     theoretical_noise_floor,
@@ -28,10 +29,12 @@ from .quantizer import (
 from .scaling import (
     FLOOR_EMPIRICAL,
     FLOOR_THEORETICAL,
+    NOISE_COLOR_N_SAMPLES,
+    NOISE_COLOR_SAMPLE_RATE_HZ,
     CutoffEstimate,
     NoiseColorCell,
     detect_cutoff,
-    measure_noise_slope,
+    error_noise_color,
     noise_color_cells,
     predicted_cutoff,
     scaling_ratio,
@@ -281,8 +284,8 @@ def run_noise_color_sweep(
     alphas: list[float],
     bit_range: tuple[int, int],
     trials: int,
-    n_samples: int = 100_000,
-    sample_rate_hz: float = 2000.0,
+    n_samples: int = NOISE_COLOR_N_SAMPLES,
+    sample_rate_hz: float = NOISE_COLOR_SAMPLE_RATE_HZ,
     master_seed: int = DEFAULT_SEED,
 ) -> NoiseColorSweepReport:
     """Mean quantization-noise slope over an (alpha, bits) grid.
@@ -505,10 +508,12 @@ def analyze_signal(signal: Signal, cfg: QuantizerConfig) -> AnalysisReport:
     segment_len = min(DEFAULT_SEGMENT_LEN, signal.n_samples)
     psd = welch_psd(signal, segment_len)
     fit = fit_slope(psd, default_fit_band(psd))
-    noise = measure_noise_slope(signal, cfg)
+    # One quantization feeds both the noise slope and the empirical floor.
+    quantized = quantize(signal, cfg)
+    noise = error_noise_color(error_signal(signal, quantized), cfg.bits)
 
     floor_th = theoretical_noise_floor(cfg, signal.sample_rate_hz)
-    floor_emp = empirical_noise_floor(welch_psd(quantize(signal, cfg), segment_len))
+    floor_emp = empirical_noise_floor(welch_psd(quantized, segment_len))
     cut_th = detect_cutoff(psd, floor_th, FLOOR_THEORETICAL)
     cut_emp = detect_cutoff(psd, floor_emp, FLOOR_EMPIRICAL)
 
@@ -558,8 +563,8 @@ VALIDATION_PRESETS: dict[str, ValidationConfig] = {
 NOISE_COLOR_DEFAULTS = {
     "bit_range": (4, 12),
     "trials": 20,
-    "n_samples": 100_000,
-    "sample_rate_hz": 2000.0,
+    "n_samples": NOISE_COLOR_N_SAMPLES,
+    "sample_rate_hz": NOISE_COLOR_SAMPLE_RATE_HZ,
 }
 
 # Noise-color sweep presets: table 2 is alpha = 2 over bits 4-8.

@@ -39,12 +39,18 @@ class QuantizerConfig:
 
 
 def quantize_values(values: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    """Map each value to its nearest mid-rise reconstruction level."""
+    """Map each value to its nearest mid-rise reconstruction level.
+
+    Every step after the division runs in place in one output buffer.
+    """
     values = np.asarray(values, dtype=np.float64)
     half_levels = 2 ** (cfg.bits - 1)
-    idx = np.floor(values / cfg.step)
-    np.clip(idx, -half_levels, half_levels - 1, out=idx)
-    return (idx + 0.5) * cfg.step
+    out = np.divide(values, cfg.step, out=np.empty_like(values))
+    np.floor(out, out=out)
+    np.clip(out, -half_levels, half_levels - 1, out=out)
+    out += 0.5
+    out *= cfg.step
+    return out
 
 
 def quantize(signal: Signal, cfg: QuantizerConfig) -> Signal:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoUsableBandError, ValidationError
-from .noise import Signal, SYNTH_FULL_SCALE, SynthesisSpec, synthesize
+from .noise import REFERENCE_RATE_HZ, Signal, SYNTH_FULL_SCALE, SynthesisSpec, synthesize
 from .quantizer import QuantizerConfig, error_signal, quantize, theoretical_noise_floor
 from .spectral import DEFAULT_SEGMENT_LEN, Psd, default_fit_band, fit_slope, welch_psd
 
@@ -27,6 +27,9 @@ MIN_RUN = 5
 CROSSING_FIT_HALF_WIDTH = 2.0**0.25
 # |slope| below this counts as white quantization noise.
 WHITE_SLOPE_THRESHOLD = 0.1
+# Record of one noise-color trial: 10^5 samples at the reference rate.
+NOISE_COLOR_N_SAMPLES = 100_000
+NOISE_COLOR_SAMPLE_RATE_HZ = REFERENCE_RATE_HZ
 
 FLOOR_THEORETICAL = "theoretical"
 FLOOR_EMPIRICAL = "empirical"
@@ -179,20 +182,23 @@ def detect_cutoff(
     )
 
 
-def measure_noise_slope(signal: Signal, cfg: QuantizerConfig) -> NoiseColorReport:
-    """Quantize, extract e[n], and fit the slope of its PSD.
+def error_noise_color(err: Signal, bits: int) -> NoiseColorReport:
+    """Fit the slope of a quantization error's PSD at one bit depth.
 
     The error is white when |slope| stays below WHITE_SLOPE_THRESHOLD.
     """
-    quantized = quantize(signal, cfg)
-    err = error_signal(signal, quantized)
     psd = welch_psd(err, min(DEFAULT_SEGMENT_LEN, err.n_samples))
     fit = fit_slope(psd, default_fit_band(psd))
     return NoiseColorReport(
-        bits=cfg.bits,
+        bits=bits,
         noise_slope=fit.slope,
         is_white=bool(abs(fit.slope) < WHITE_SLOPE_THRESHOLD),
     )
+
+
+def measure_noise_slope(signal: Signal, cfg: QuantizerConfig) -> NoiseColorReport:
+    """Quantize, extract e[n] = x_q[n] - x[n], and fit the slope of its PSD."""
+    return error_noise_color(error_signal(signal, quantize(signal, cfg)), cfg.bits)
 
 
 def noise_color_cells(
@@ -200,8 +206,8 @@ def noise_color_cells(
     bit_range: tuple[int, int],
     trials: int,
     master_seed: int,
-    n_samples: int = 100_000,
-    sample_rate_hz: float = 2000.0,
+    n_samples: int = NOISE_COLOR_N_SAMPLES,
+    sample_rate_hz: float = NOISE_COLOR_SAMPLE_RATE_HZ,
 ) -> Iterator[NoiseColorCell]:
     """Noise-color cells of one alpha, one per bit depth in increasing order.
 
@@ -230,8 +236,8 @@ def find_n_min(
     bit_range: tuple[int, int],
     trials: int,
     master_seed: int,
-    n_samples: int = 100_000,
-    sample_rate_hz: float = 2000.0,
+    n_samples: int = NOISE_COLOR_N_SAMPLES,
+    sample_rate_hz: float = NOISE_COLOR_SAMPLE_RATE_HZ,
 ) -> int | None:
     """Smallest bit depth in range whose mean noise slope is white.
 

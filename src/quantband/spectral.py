@@ -14,6 +14,8 @@ DEFAULT_OVERLAP = 0.5
 MIN_FIT_BINS = 10
 # Noise floors are read from the upper quarter of the frequency range.
 FLOOR_BAND_FRACTION = 0.75
+# Segments transformed together by the Welch engine; bounds its memory.
+WELCH_BLOCK_SEGMENTS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,22 +70,37 @@ class SpectralFit:
 def _welch_density(
     x: np.ndarray, fs: float, segment_len: int, noverlap: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Welch density over the last axis of ``x`` (Welch 1967).
+    """One-sided Welch density of a 1-D array (Welch 1967).
 
     Segments of ``segment_len`` samples start every ``segment_len -
     noverlap`` samples; samples past the last whole segment are dropped.
     Each segment has its mean removed and a periodic Hann window applied.
     Returns the full rfft grid, DC included.
+
+    The segments are streamed through blocks of WELCH_BLOCK_SEGMENTS, so
+    the temporaries stay a few segments long at any signal length. Each
+    block's |X|^2 rows are added to one running total in segment order,
+    the sum numpy's mean over the stacked segments forms, so the output
+    is bit-identical to transforming every segment at once.
     """
     step = segment_len - noverlap
-    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len, axis=-1)[..., ::step, :]
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
-    spectra = np.fft.rfft((segments - segments.mean(axis=-1, keepdims=True)) * window, axis=-1)
-    power = (spectra.real**2 + spectra.imag**2).mean(axis=-2) / (fs * np.dot(window, window))
+    total = np.zeros(segment_len // 2 + 1)
+    for start in range(0, len(segments), WELCH_BLOCK_SEGMENTS):
+        block = segments[start : start + WELCH_BLOCK_SEGMENTS]
+        detrended = block - block.mean(axis=1, keepdims=True)
+        detrended *= window
+        spectra = np.fft.rfft(detrended)
+        power = np.square(spectra.real)
+        power += np.square(spectra.imag)
+        for row in power:
+            total += row
+    density = total / len(segments) / (fs * np.dot(window, window))
     # Fold the negative frequencies in: every bin but DC and, for even
     # lengths, Nyquist appears twice in the two-sided spectrum.
-    power[..., 1 : segment_len - segment_len // 2] *= 2.0
-    return np.fft.rfftfreq(segment_len, 1.0 / fs), power
+    density[1 : segment_len - segment_len // 2] *= 2.0
+    return np.fft.rfftfreq(segment_len, 1.0 / fs), density
 
 
 def welch_psd(

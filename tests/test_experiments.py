@@ -1,9 +1,12 @@
+import inspect
 from dataclasses import replace
 
 import pytest
 
+from quantband import quantizer
 from quantband.errors import NoMeasurableBandError, ValidationError
 from quantband.experiments import (
+    NOISE_COLOR_DEFAULTS,
     ValidationConfig,
     analyze_signal,
     run_band_power,
@@ -15,7 +18,7 @@ from quantband.experiments import (
 )
 from quantband.noise import PeakSpec, Signal, SynthesisSpec, synthesize
 from quantband.quantizer import QuantizerConfig
-from quantband.scaling import find_n_min
+from quantband.scaling import find_n_min, measure_noise_slope, noise_color_cells
 
 SMALL = ValidationConfig(
     alpha=2.0, sample_rate_hz=2000.0, n_samples=30_000, bit_range=(5, 6), trials=3
@@ -117,6 +120,12 @@ class TestRunNoiseColorSweep:
         sweep = run_noise_color_sweep([alpha], r, trials, n, fs, seed)
         assert find_n_min(alpha, r, trials, seed, n, fs) == sweep.n_min[alpha]
 
+    @pytest.mark.parametrize("fn", [noise_color_cells, find_n_min, run_noise_color_sweep])
+    def test_defaults_are_the_cli_base(self, fn):
+        params = inspect.signature(fn).parameters
+        for name in ("n_samples", "sample_rate_hz"):
+            assert params[name].default == NOISE_COLOR_DEFAULTS[name]
+
 
 class TestRunBandPower:
     def make_signal(self, n=8192, seed=1):
@@ -174,3 +183,19 @@ class TestAnalyzeSignal:
         sig = synthesize(SynthesisSpec(2.0, 65_536, 2000.0, seed=12))
         rep = analyze_signal(sig, QuantizerConfig(4, 2.0))
         assert not rep.noise_is_white
+
+    def test_quantizes_once(self, monkeypatch):
+        sig = synthesize(SynthesisSpec(2.0, 65_536, 2000.0, seed=12))
+        cfg = QuantizerConfig(6, 2.0)
+        calls = []
+
+        def counting(values, c):
+            calls.append(c)
+            return original(values, c)
+
+        original = quantizer.quantize_values
+        monkeypatch.setattr(quantizer, "quantize_values", counting)
+        rep = analyze_signal(sig, cfg)
+        assert calls == [cfg]
+        # The shared quantization gives the slope measure_noise_slope gives.
+        assert rep.noise_slope == measure_noise_slope(sig, cfg).noise_slope

@@ -52,6 +52,24 @@ class TestQuantize:
     @given(
         bits=st.integers(1, 16),
         full_scale=st.floats(0.1, 100.0),
+        values=st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=64),
+    )
+    def test_matches_closed_form(self, bits, full_scale, values):
+        # The in-place steps give the floats of the plain expression.
+        cfg = QuantizerConfig(bits=bits, full_scale=full_scale)
+        x = np.array(values)
+        half = 2 ** (bits - 1)
+        want = (np.clip(np.floor(x / cfg.step), -half, half - 1) + 0.5) * cfg.step
+        assert np.array_equal(quantize_values(x, cfg), want)
+        assert np.array_equal(x, values)  # the input is left alone
+
+    def test_zero_dimensional_input(self):
+        cfg = QuantizerConfig(bits=2, full_scale=2.0)
+        assert quantize_values(np.float64(0.3), cfg) == 0.25
+
+    @given(
+        bits=st.integers(1, 16),
+        full_scale=st.floats(0.1, 100.0),
         values=st.lists(st.floats(-200.0, 200.0), min_size=2, max_size=64),
     )
     def test_idempotent(self, bits, full_scale, values):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from quantband.errors import ValidationError
 from quantband.noise import Signal
 from quantband.quantizer import QuantizerConfig, error_signal, quantize
 from quantband.spectral import (
+    WELCH_BLOCK_SEGMENTS,
     Psd,
+    _welch_density,
     band_power,
     default_fit_band,
     empirical_noise_floor,
@@ -118,6 +122,94 @@ class TestWelchScipyParity:
         segment_len = 8 + round(len_fraction * (n_samples - 8))
         x = np.random.default_rng(seed).standard_normal(n_samples)
         assert_matches_scipy(x, 1000.0, segment_len, overlap)
+
+
+def one_shot_welch_psd(x: np.ndarray, fs: float, segment_len: int, overlap_fraction: float):
+    """The reference: every segment detrended, windowed and transformed at once."""
+    noverlap = int(overlap_fraction * segment_len)
+    step = segment_len - noverlap
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    spectra = np.fft.rfft((segments - segments.mean(axis=-1, keepdims=True)) * window, axis=-1)
+    power = (spectra.real**2 + spectra.imag**2).mean(axis=-2) / (fs * np.dot(window, window))
+    power[1 : segment_len - segment_len // 2] *= 2.0
+    return np.fft.rfftfreq(segment_len, 1.0 / fs)[1:], power[1:]
+
+
+def assert_matches_one_shot(x: np.ndarray, fs: float, segment_len: int, overlap_fraction: float):
+    psd = welch_psd(Signal(x, fs), segment_len, overlap_fraction)
+    freqs, power = one_shot_welch_psd(x, fs, segment_len, overlap_fraction)
+    assert np.array_equal(psd.freqs_hz, freqs)
+    assert np.array_equal(psd.power, power)
+
+
+def length_for(segment_count: int, segment_len: int, overlap_fraction: float) -> int:
+    """A signal length with exactly ``segment_count`` segments and a dropped tail."""
+    noverlap = int(overlap_fraction * segment_len)
+    step = segment_len - noverlap
+    return noverlap + segment_count * step + step // 2
+
+
+class TestWelchStreaming:
+    """The blocked engine against the one-shot formula."""
+
+    @pytest.mark.parametrize("segment_len", [8, 64, 65, 4096])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+    @pytest.mark.parametrize(
+        "segment_count",
+        [1, WELCH_BLOCK_SEGMENTS - 1, WELCH_BLOCK_SEGMENTS, WELCH_BLOCK_SEGMENTS + 1, 47],
+    )
+    def test_bit_identical_to_one_shot(self, segment_len, overlap, segment_count):
+        n = length_for(segment_count, segment_len, overlap)
+        x = np.random.default_rng(segment_len + segment_count).standard_normal(n).cumsum()
+        assert_matches_one_shot(x, 2000.0, segment_len, overlap)
+
+    @given(
+        n_samples=st.integers(8, 5000),
+        len_fraction=st.floats(0.0, 1.0),
+        overlap=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_for_any_length_and_overlap(self, n_samples, len_fraction, overlap, seed):
+        segment_len = 8 + round(len_fraction * (n_samples - 8))
+        x = np.random.default_rng(seed).standard_normal(n_samples)
+        assert_matches_one_shot(x, 1000.0, segment_len, overlap)
+
+    @given(
+        n_samples=st.integers(8, 5000),
+        len_fraction=st.floats(0.0, 1.0),
+        overlap=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_parseval(self, n_samples, len_fraction, overlap, seed):
+        # Summed over the full grid, the density times f_s / L is each
+        # segment's windowed, detrended energy over sum(w^2), averaged.
+        # A segment left out of the average, such as a dropped tail
+        # block, breaks the equality.
+        fs = 1000.0
+        segment_len = 8 + round(len_fraction * (n_samples - 8))
+        noverlap = int(overlap * segment_len)
+        x = np.random.default_rng(seed).standard_normal(n_samples) + 2.0
+        _, power = _welch_density(x, fs, segment_len, noverlap)
+        segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[:: segment_len - noverlap]
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+        energy = np.sum((window * (segments - segments.mean(axis=1, keepdims=True))) ** 2, axis=1)
+        expected = energy.mean() / np.sum(window**2)
+        assert power.sum() * fs / segment_len == pytest.approx(expected, rel=1e-12)
+
+    def test_memory_stays_bounded(self):
+        # The one-shot engine held the whole (487, 4096) segment stack and
+        # its transform at once, about 32 MB at this length.
+        sig = Signal(np.random.default_rng(9).standard_normal(10**6), 2000.0)
+        tracemalloc.start()
+        try:
+            welch_psd(sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestFitSlope:
