@@ -74,33 +74,78 @@ def _parse_csv_row(line: str, channel: int, row: int, path: str) -> float:
     return value
 
 
+# str.splitlines() also ends a line at these; a text file's line iterator,
+# and so np.loadtxt, does not. Text-mode reads have already turned "\r\n"
+# and a lone "\r" into "\n", so in ASCII text without these the two agree
+# on every line.
+_SPLITLINES_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+def _data_rows(lines, spec: SignalFileSpec):
+    """Yield ``(file line, text)`` for each data row of numbered ``lines``.
+
+    Blank lines are skipped. A single header line is tolerated: the first
+    non-blank line is skipped iff it does not parse as numbers.
+    """
+    rows = ((number, line) for number, line in lines if line.strip())
+    first = next(rows, None)
+    if first is None:
+        raise EmptySignalError("file contains no samples", path=spec.path)
+    try:
+        _parse_csv_row(first[1], spec.channel_index, first[0], spec.path)
+    except MalformedSampleError:
+        first = next(rows, None)
+        if first is None:
+            raise EmptySignalError("file contains only a header", path=spec.path)
+    yield first
+    yield from rows
+
+
+def _load_csv_fast(fh, text: str, spec: SignalFileSpec) -> np.ndarray | None:
+    """Every data row of ``fh`` in one ``np.loadtxt`` call.
+
+    Returns None where only the row parser can give the answer: a line
+    split that might differ from ``str.splitlines()``, a row ``loadtxt``
+    rejects, or a non-finite sample.
+    """
+    if not text.isascii() or any(c in text for c in _SPLITLINES_ONLY_BREAKS):
+        return None
+    fh.seek(0)
+    first_line, _ = next(_data_rows(enumerate(fh, start=1), spec))
+    fh.seek(0)
+    try:
+        values = np.loadtxt(
+            fh,
+            dtype=np.float64,
+            delimiter=",",
+            usecols=spec.channel_index,
+            comments=None,
+            skiprows=first_line - 1,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def _read_csv_samples(spec: SignalFileSpec) -> np.ndarray:
     try:
-        text = Path(spec.path).read_text()
+        with Path(spec.path).open() as fh:
+            text = fh.read()
+            values = _load_csv_fast(fh, text, spec)
     except OSError as exc:
         raise UnreadableFileError(str(exc), path=spec.path) from exc
     except UnicodeDecodeError as exc:
         raise UnreadableFileError(f"not a text file: {exc}", path=spec.path) from exc
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise EmptySignalError("file contains no samples", path=spec.path)
-
-    # A single header line is tolerated: skip the first line iff it does
-    # not parse as numbers.
-    start = 0
-    try:
-        _parse_csv_row(lines[0], spec.channel_index, 1, spec.path)
-    except MalformedSampleError:
-        start = 1
-    if start == len(lines):
-        raise EmptySignalError("file contains only a header", path=spec.path)
-
-    values = [
-        _parse_csv_row(line, spec.channel_index, row, spec.path)
-        for row, line in enumerate(lines[start:], start=start + 1)
-    ]
-    return np.asarray(values, dtype=np.float64)
+    if values is None:
+        # Row by row: the same values where every row parses, and the
+        # error names the first bad row's file line where one does not.
+        rows = _data_rows(enumerate(text.splitlines(), start=1), spec)
+        values = np.asarray(
+            [_parse_csv_row(line, spec.channel_index, n, spec.path) for n, line in rows],
+            dtype=np.float64,
+        )
+    return values
 
 
 def _read_raw_samples(spec: SignalFileSpec) -> np.ndarray:
@@ -144,8 +189,8 @@ def write_signal(signal: Signal, spec: SignalFileSpec) -> None:
     """Write a signal; raw round-trips bit-exactly, CSV to 17 significant digits."""
     path = Path(spec.path)
     if spec.format == FORMAT_CSV:
-        lines = "\n".join(f"{x:.17g}" for x in signal.samples.tolist())
-        path.write_text(lines + "\n")
+        samples = signal.samples.tolist()
+        path.write_text(("%.17g\n" * len(samples)) % tuple(samples))
     else:
         path.write_bytes(signal.samples.astype("<f8").tobytes())
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -32,6 +33,19 @@ class TestSynth:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_bytes_pinned(self, tmp_path, capsys):
+        # Recorded with the per-sample f-string writer; it also pins the
+        # synthesis, so a change to numpy's RNG or FFT moves it too.
+        out = tmp_path / "x.csv"
+        code, _, _ = run(
+            capsys, "synth", "--alpha", "2", "--n", "100000",
+            "--fs", "2000", "--seed", "11", "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a88a45d6cf6f8669405e5f252655c85524ef2d31937e20a4d61effb8739d9054"
+        )
 
     def test_negative_alpha_exits_two(self, tmp_path, capsys):
         code, _, err = run(
