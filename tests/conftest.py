@@ -1,7 +1,59 @@
 import pathlib
 import sys
+from dataclasses import replace
+
+import pytest
 
 # Allow running the suite from a fresh checkout without installing.
 _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+from quantband.errors import QuantbandError  # noqa: E402
+from quantband.experiments import (  # noqa: E402
+    DEFAULT_SEED,
+    VALIDATION_PRESETS,
+    run_noise_color_sweep,
+    run_validation,
+)
+from quantband.scaling import find_n_min  # noqa: E402
+
+# The expensive paper runs, computed once per session: the acceptance
+# criteria and the golden reports read the same results.
+N_MIN_ALPHAS = (1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+def _validation_reports(**overrides) -> dict:
+    out = {}
+    for name, cfg in VALIDATION_PRESETS.items():
+        try:
+            out[name] = run_validation(replace(cfg, **overrides))
+        except QuantbandError as exc:
+            out[name] = exc
+    return out
+
+
+@pytest.fixture(scope="session")
+def theoretical_reports():
+    return _validation_reports()
+
+
+@pytest.fixture(scope="session")
+def empirical_reports():
+    return _validation_reports(floor_method="empirical")
+
+
+@pytest.fixture(scope="session")
+def table2_sweep():
+    return run_noise_color_sweep(
+        [2.0], (4, 8), trials=20, n_samples=100_000,
+        sample_rate_hz=2000.0, master_seed=DEFAULT_SEED,
+    )
+
+
+@pytest.fixture(scope="session")
+def n_min_answers():
+    return {
+        alpha: find_n_min(alpha, (4, 12), trials=20, master_seed=DEFAULT_SEED)
+        for alpha in N_MIN_ALPHAS
+    }

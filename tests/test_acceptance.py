@@ -11,12 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quantband.errors import QuantbandError
 from quantband.experiments import (
     DEFAULT_SEED,
     VALIDATION_PRESETS,
     run_band_power,
-    run_noise_color_sweep,
     run_peak_robustness,
     run_sensitivity,
     run_validation,
@@ -24,42 +22,12 @@ from quantband.experiments import (
 from quantband.io import FORMAT_RAW, SignalFileSpec, read_signal, write_signal
 from quantband.noise import PeakSpec, Signal, SynthesisSpec, synthesize
 from quantband.quantizer import QuantizerConfig, quantize_values
-from quantband.scaling import detect_cutoff, find_n_min, predicted_cutoff, scaling_ratio
+from quantband.scaling import detect_cutoff, predicted_cutoff, scaling_ratio
 from quantband.spectral import Psd, fit_slope, welch_psd
 
 
 def line(criterion: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-@pytest.fixture(scope="module")
-def theoretical_reports():
-    out = {}
-    for name, cfg in VALIDATION_PRESETS.items():
-        try:
-            out[name] = run_validation(cfg)
-        except QuantbandError as exc:
-            out[name] = exc
-    return out
-
-
-@pytest.fixture(scope="module")
-def empirical_reports():
-    out = {}
-    for name, cfg in VALIDATION_PRESETS.items():
-        try:
-            out[name] = run_validation(replace(cfg, floor_method="empirical"))
-        except QuantbandError as exc:
-            out[name] = exc
-    return out
-
-
-@pytest.fixture(scope="module")
-def table2_sweep():
-    return run_noise_color_sweep(
-        [2.0], (4, 8), trials=20, n_samples=100_000,
-        sample_rate_hz=2000.0, master_seed=DEFAULT_SEED,
-    )
 
 
 def test_criterion_1_scaling_factors():
@@ -159,9 +127,9 @@ N_MIN_EXPECTED = {1.0: 4, 1.5: 5, 2.0: 7, 2.5: 10, 3.0: None}
 
 
 @pytest.mark.parametrize("alpha", sorted(N_MIN_EXPECTED))
-def test_criterion_5_n_min(alpha):
+def test_criterion_5_n_min(n_min_answers, alpha):
     expected = N_MIN_EXPECTED[alpha]
-    got = find_n_min(alpha, (4, 12), trials=20, master_seed=DEFAULT_SEED)
+    got = n_min_answers[alpha]
     if expected is None:
         ok = got is None
         detail = f"alpha={alpha}: N_min={got} (expected absent)"
