@@ -13,7 +13,7 @@ from .errors import (
     UnreadableFileError,
     ValidationError,
 )
-from .noise import PeakSpec, Signal, SYNTH_FULL_SCALE, SynthesisSpec, synthesize, target_psd_shape
+from .noise import PeakSpec, Signal, SYNTH_FULL_SCALE, SynthesisSpec, synthesize
 from .quantizer import (
     QuantizerConfig,
     error_signal,
@@ -24,9 +24,9 @@ from .quantizer import (
 )
 from .scaling import (
     CutoffEstimate,
-    NoiseColorReport,
     detect_cutoff,
     find_n_min,
+    is_white,
     measure_noise_slope,
     predicted_cutoff,
     scaling_ratio,
@@ -56,7 +56,6 @@ __all__ = [
     "SYNTH_FULL_SCALE",
     "SynthesisSpec",
     "synthesize",
-    "target_psd_shape",
     "QuantizerConfig",
     "error_signal",
     "quantize",
@@ -64,9 +63,9 @@ __all__ = [
     "saturation_count",
     "theoretical_noise_floor",
     "CutoffEstimate",
-    "NoiseColorReport",
     "detect_cutoff",
     "find_n_min",
+    "is_white",
     "measure_noise_slope",
     "predicted_cutoff",
     "scaling_ratio",

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import QuantbandError, SignalIoError, ValidationError
+from .errors import QuantbandError, ValidationError
 from .experiments import (
     DEFAULT_SEED,
     NOISE_COLOR_DEFAULTS,
@@ -383,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SignalIoError, QuantbandError, OSError) as exc:
+    except (QuantbandError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

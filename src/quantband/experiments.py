@@ -33,14 +33,17 @@ from .scaling import (
     NOISE_COLOR_SAMPLE_RATE_HZ,
     CutoffEstimate,
     NoiseColorCell,
+    check_grid,
     detect_cutoff,
-    error_noise_color,
+    error_noise_slope,
+    is_white,
     noise_color_cells,
     predicted_cutoff,
     scaling_ratio,
 )
 from .spectral import (
     DEFAULT_SEGMENT_LEN,
+    SpectralFit,
     band_power,
     default_fit_band,
     empirical_noise_floor,
@@ -86,13 +89,8 @@ class ValidationConfig:
     segment_len: int = DEFAULT_SEGMENT_LEN
 
     def __post_init__(self):
-        object.__setattr__(self, "bit_range", (int(self.bit_range[0]), int(self.bit_range[1])))
+        object.__setattr__(self, "bit_range", check_grid(self.bit_range, self.trials))
         object.__setattr__(self, "peaks", tuple(self.peaks))
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        n_lo, n_hi = self.bit_range
-        if n_lo < 1 or n_lo > n_hi:
-            raise ValidationError(f"invalid bit range {self.bit_range}")
         if self.floor_method not in (FLOOR_THEORETICAL, FLOOR_EMPIRICAL):
             raise ValidationError(f"unknown floor method {self.floor_method!r}")
 
@@ -143,6 +141,13 @@ class ValidationReport:
         ]
 
 
+def _fitted_cutoff(fit: SpectralFit, sample_rate_hz: float, cfg: QuantizerConfig) -> float:
+    """Closed-form cutoff at a fit's slope and intercept; NaN unless the fit falls."""
+    if not (fit.alpha_hat > 0 and fit.s0_hat > 0):
+        return float("nan")
+    return predicted_cutoff(fit.alpha_hat, fit.s0_hat, sample_rate_hz, cfg).f_c_hz
+
+
 def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> dict[int, float]:
     """Detected sub-Nyquist cutoffs per bit depth for one trial.
 
@@ -185,12 +190,8 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> dict[int, float]:
             detected = detect_cutoff(psd, floor, cfg.floor_method)
         except NoUsableBandError:
             continue
-        if detected.exceeded_nyquist:
+        if detected.exceeded_nyquist or _fitted_cutoff(fit, cfg.sample_rate_hz, qcfg) > nyquist:
             continue
-        if fit.alpha_hat > 0 and fit.s0_hat > 0:
-            predicted = predicted_cutoff(fit.alpha_hat, fit.s0_hat, cfg.sample_rate_hz, qcfg)
-            if predicted.f_c_hz > nyquist:
-                continue
         cutoffs[bits] = detected.f_c_hz
     return cutoffs
 
@@ -284,9 +285,9 @@ def run_noise_color_sweep(
     alphas: list[float],
     bit_range: tuple[int, int],
     trials: int,
-    n_samples: int = NOISE_COLOR_N_SAMPLES,
-    sample_rate_hz: float = NOISE_COLOR_SAMPLE_RATE_HZ,
-    master_seed: int = DEFAULT_SEED,
+    master_seed: int,
+    n_samples: int,
+    sample_rate_hz: float,
 ) -> NoiseColorSweepReport:
     """Mean quantization-noise slope over an (alpha, bits) grid.
 
@@ -510,18 +511,13 @@ def analyze_signal(signal: Signal, cfg: QuantizerConfig) -> AnalysisReport:
     fit = fit_slope(psd, default_fit_band(psd))
     # One quantization feeds both the noise slope and the empirical floor.
     quantized = quantize(signal, cfg)
-    noise = error_noise_color(error_signal(signal, quantized), cfg.bits)
+    noise_slope = error_noise_slope(error_signal(signal, quantized))
 
     floor_th = theoretical_noise_floor(cfg, signal.sample_rate_hz)
     floor_emp = empirical_noise_floor(welch_psd(quantized, segment_len))
     cut_th = detect_cutoff(psd, floor_th, FLOOR_THEORETICAL)
     cut_emp = detect_cutoff(psd, floor_emp, FLOOR_EMPIRICAL)
-
-    if fit.alpha_hat > 0:
-        pred = predicted_cutoff(fit.alpha_hat, fit.s0_hat, signal.sample_rate_hz, cfg)
-        pred_fc, pred_flag = pred.f_c_hz, pred.exceeded_nyquist
-    else:
-        pred_fc, pred_flag = float("nan"), True
+    pred_fc = _fitted_cutoff(fit, signal.sample_rate_hz, cfg)
 
     return AnalysisReport(
         sample_rate_hz=signal.sample_rate_hz,
@@ -532,15 +528,15 @@ def analyze_signal(signal: Signal, cfg: QuantizerConfig) -> AnalysisReport:
         s0_hat=fit.s0_hat,
         fit_band_hz=fit.fit_band_hz,
         fit_rms_residual=fit.rms_residual,
-        noise_slope=noise.noise_slope,
-        noise_is_white=noise.is_white,
+        noise_slope=noise_slope,
+        noise_is_white=is_white(noise_slope),
         saturated_samples=saturation_count(signal, cfg),
         theoretical_floor=floor_th,
         empirical_floor=floor_emp,
         cutoff_theoretical=cut_th,
         cutoff_empirical=cut_emp,
         predicted_cutoff_hz=pred_fc,
-        predicted_exceeds_nyquist=pred_flag,
+        predicted_exceeds_nyquist=not pred_fc <= signal.nyquist_hz,
     )
 
 

@@ -52,10 +52,6 @@ class Signal:
     def nyquist_hz(self) -> float:
         return self.sample_rate_hz / 2.0
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class PeakSpec:
@@ -118,23 +114,6 @@ def _peak_multiplier(spec: SynthesisSpec, freqs: np.ndarray) -> np.ndarray:
             -((freqs - peak.center_hz) ** 2) / (2.0 * peak.width_hz**2)
         )
     return mult
-
-
-def target_psd_shape(spec: SynthesisSpec, freqs: np.ndarray) -> np.ndarray:
-    """Evaluate the synthesis target f^(-alpha) * peak multiplier.
-
-    The result is defined up to a single global scale factor; only the
-    shape is meaningful. Frequencies must be strictly positive and at
-    most the Nyquist frequency.
-    """
-    freqs = np.asarray(freqs, dtype=np.float64)
-    if freqs.size == 0:
-        raise ValidationError("no frequencies given")
-    if not np.all(freqs > 0):
-        raise ValidationError("frequencies must be strictly positive")
-    if np.any(freqs > spec.sample_rate_hz / 2.0):
-        raise ValidationError("frequencies must not exceed the Nyquist frequency")
-    return freqs ** (-spec.alpha) * _peak_multiplier(spec, freqs)
 
 
 def synthesize(spec: SynthesisSpec) -> Signal:

@@ -46,20 +46,26 @@ class CutoffEstimate:
 
 
 @dataclass(frozen=True)
-class NoiseColorReport:
-    """Spectral slope of the quantization error at one bit depth."""
-
-    bits: int
-    noise_slope: float
-    is_white: bool
-
-
-@dataclass(frozen=True)
 class NoiseColorCell:
     alpha: float
     bits: int
     noise_slope: float
     is_white: bool
+
+
+def is_white(slope: float) -> bool:
+    """Whether a quantization error with this PSD slope counts as white."""
+    return bool(abs(slope) < WHITE_SLOPE_THRESHOLD)
+
+
+def check_grid(bit_range: tuple[int, int], trials: int) -> tuple[int, int]:
+    """Reject fewer than one trial or an empty bit range; the range as ints."""
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    n_lo, n_hi = int(bit_range[0]), int(bit_range[1])
+    if n_lo < 1 or n_lo > n_hi:
+        raise ValidationError(f"invalid bit range {(n_lo, n_hi)}")
+    return n_lo, n_hi
 
 
 def scaling_ratio(alpha: float) -> float:
@@ -78,7 +84,8 @@ def predicted_cutoff(
     """Closed-form cutoff (6 S_0 f_s / R^2)^(1/alpha) * 2^(2N/alpha).
 
     The value is returned even when it exceeds the Nyquist frequency;
-    ``exceeded_nyquist`` flags that case.
+    ``exceeded_nyquist`` flags that case. A value beyond the float range
+    is returned as inf.
     """
     if not (alpha > 0 and np.isfinite(alpha)):
         raise ValidationError(f"alpha must be positive, got {alpha}")
@@ -87,11 +94,12 @@ def predicted_cutoff(
     if not (sample_rate_hz > 0 and np.isfinite(sample_rate_hz)):
         raise ValidationError(f"sample rate must be positive, got {sample_rate_hz}")
     base = 6.0 * s0 * sample_rate_hz / cfg.full_scale**2
-    f_c = base ** (1.0 / alpha) * 2.0 ** (2.0 * cfg.bits / alpha)
-    if not np.isfinite(f_c):
-        raise ValidationError(
-            f"cutoff is not finite for alpha={alpha}, s0={s0}, bits={cfg.bits}"
-        )
+    try:
+        f_c = base ** (1.0 / alpha) * 2.0 ** (2.0 * cfg.bits / alpha)
+    except OverflowError:
+        # A factor overflowed; the product may not, so take it in log space.
+        with np.errstate(over="ignore"):
+            f_c = np.exp((np.log(base) + 2.0 * cfg.bits * np.log(2.0)) / alpha)
     return CutoffEstimate(
         f_c_hz=float(f_c),
         floor_value=theoretical_noise_floor(cfg, sample_rate_hz),
@@ -182,23 +190,15 @@ def detect_cutoff(
     )
 
 
-def error_noise_color(err: Signal, bits: int) -> NoiseColorReport:
-    """Fit the slope of a quantization error's PSD at one bit depth.
-
-    The error is white when |slope| stays below WHITE_SLOPE_THRESHOLD.
-    """
+def error_noise_slope(err: Signal) -> float:
+    """Slope of a quantization error's PSD over the default fit band."""
     psd = welch_psd(err, min(DEFAULT_SEGMENT_LEN, err.n_samples))
-    fit = fit_slope(psd, default_fit_band(psd))
-    return NoiseColorReport(
-        bits=bits,
-        noise_slope=fit.slope,
-        is_white=bool(abs(fit.slope) < WHITE_SLOPE_THRESHOLD),
-    )
+    return fit_slope(psd, default_fit_band(psd)).slope
 
 
-def measure_noise_slope(signal: Signal, cfg: QuantizerConfig) -> NoiseColorReport:
+def measure_noise_slope(signal: Signal, cfg: QuantizerConfig) -> float:
     """Quantize, extract e[n] = x_q[n] - x[n], and fit the slope of its PSD."""
-    return error_noise_color(error_signal(signal, quantize(signal, cfg)), cfg.bits)
+    return error_noise_slope(error_signal(signal, quantize(signal, cfg)))
 
 
 def noise_color_cells(
@@ -206,29 +206,25 @@ def noise_color_cells(
     bit_range: tuple[int, int],
     trials: int,
     master_seed: int,
-    n_samples: int = NOISE_COLOR_N_SAMPLES,
-    sample_rate_hz: float = NOISE_COLOR_SAMPLE_RATE_HZ,
+    n_samples: int,
+    sample_rate_hz: float,
 ) -> Iterator[NoiseColorCell]:
     """Noise-color cells of one alpha, one per bit depth in increasing order.
 
     Trial i (seed master_seed + i) is synthesized once and quantized at
-    every depth; a cell is white when |mean slope| < WHITE_SLOPE_THRESHOLD.
+    every depth; a cell is white when its mean slope ``is_white``.
     Cells are computed lazily, so a caller can stop at the first white one.
     """
-    n_lo, n_hi = int(bit_range[0]), int(bit_range[1])
-    if n_lo < 1 or n_lo > n_hi:
-        raise ValidationError(f"invalid bit range {bit_range}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    n_lo, n_hi = check_grid(bit_range, trials)
     signals = [
         synthesize(SynthesisSpec(alpha, n_samples, sample_rate_hz, seed=master_seed + i))
         for i in range(trials)
     ]
     for bits in range(n_lo, n_hi + 1):
         cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
-        slopes = [measure_noise_slope(sig, cfg).noise_slope for sig in signals]
+        slopes = [measure_noise_slope(sig, cfg) for sig in signals]
         mean_slope = float(np.mean(slopes))
-        yield NoiseColorCell(alpha, bits, mean_slope, abs(mean_slope) < WHITE_SLOPE_THRESHOLD)
+        yield NoiseColorCell(alpha, bits, mean_slope, is_white(mean_slope))
 
 
 def find_n_min(

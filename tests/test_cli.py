@@ -131,6 +131,20 @@ class TestAnalyze:
         assert code == 1
         assert "missing.f64" in err
 
+    def test_overflowing_closed_form_reads_inf(self, tmp_path, capsys):
+        # White noise fits a nearly flat slope, so 2^(2N/alpha) overflows.
+        sig, out = tmp_path / "w.f64", tmp_path / "w.json"
+        run(capsys, "synth", "--alpha", "0", "--n", "20000", "--fs", "1000",
+            "--seed", "3", "--out", str(sig))
+        code, stdout, _ = run(
+            capsys, "analyze", "--in", str(sig), "--fs", "1000", "--bits", "8", "--out", str(out),
+        )
+        assert code == 0
+        assert "f_c (closed form):  inf Hz [beyond Nyquist]" in stdout.splitlines()
+        report = json.loads(out.read_text())["report"]
+        assert report["predicted_cutoff_hz"] is None
+        assert report["predicted_exceeds_nyquist"] is True
+
     def test_json_report_written(self, alpha2_file, tmp_path, capsys):
         out = tmp_path / "analysis.json"
         code, _, _ = run(

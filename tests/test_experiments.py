@@ -1,9 +1,10 @@
 import inspect
+import math
 from dataclasses import replace
 
 import pytest
 
-from quantband import quantizer
+from quantband import experiments, quantizer
 from quantband.errors import NoMeasurableBandError, ValidationError
 from quantband.experiments import (
     NOISE_COLOR_DEFAULTS,
@@ -18,7 +19,8 @@ from quantband.experiments import (
 )
 from quantband.noise import PeakSpec, Signal, SynthesisSpec, synthesize
 from quantband.quantizer import QuantizerConfig
-from quantband.scaling import find_n_min, measure_noise_slope, noise_color_cells
+from quantband.scaling import find_n_min, measure_noise_slope
+from quantband.spectral import SpectralFit
 
 SMALL = ValidationConfig(
     alpha=2.0, sample_rate_hz=2000.0, n_samples=30_000, bit_range=(5, 6), trials=3
@@ -55,13 +57,45 @@ class TestRunValidation:
         rep = run_validation(replace(SMALL, floor_method="empirical"))
         assert rep.ratios
 
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ValidationError):
-            ValidationConfig(2.0, 2000.0, 30_000, (6, 5), 3)
-        with pytest.raises(ValidationError):
-            ValidationConfig(2.0, 2000.0, 30_000, (5, 6), 0)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bit_range, trials: ValidationConfig(2.0, 2000.0, 30_000, bit_range, trials),
+            lambda bit_range, trials: find_n_min(2.0, bit_range, trials, 0, 30_000, 2000.0),
+        ],
+        ids=["ValidationConfig", "find_n_min"],
+    )
+    @pytest.mark.parametrize(
+        "bit_range, trials, message",
+        [
+            ((6, 5), 3, "invalid bit range (6, 5)"),
+            ((0, 5), 3, "invalid bit range (0, 5)"),
+            ((5, 6), 0, "trials must be >= 1, got 0"),
+        ],
+    )
+    def test_invalid_grids_rejected(self, make, bit_range, trials, message):
+        with pytest.raises(ValidationError) as exc:
+            make(bit_range, trials)
+        assert str(exc.value) == message
+
+    def test_invalid_floor_method_rejected(self):
         with pytest.raises(ValidationError):
             ValidationConfig(2.0, 2000.0, 30_000, (5, 6), 3, floor_method="magic")
+
+    def test_rising_fit_keeps_the_depth_that_analyze_flags(self, monkeypatch):
+        # A fit that does not fall has no closed-form cutoff (NaN): validate
+        # keeps every depth it detects, and analyze flags the missing value.
+        rising = SpectralFit(
+            slope=0.5, intercept_log10=3.0, fit_band_hz=(1.0, 2.0), rms_residual=0.0
+        )
+        monkeypatch.setattr(experiments, "fit_slope", lambda psd, band: rising)
+        cfg = QuantizerConfig(5, 2.0)
+        assert math.isnan(experiments._fitted_cutoff(rising, SMALL.sample_rate_hz, cfg))
+        rep = run_validation(SMALL)
+        assert [b.valid_trials for b in rep.per_bit_cutoffs] == [SMALL.trials] * 2
+        analysis = analyze_signal(synthesize(SynthesisSpec(2.0, 30_000, 2000.0, seed=12)), cfg)
+        assert math.isnan(analysis.predicted_cutoff_hz)
+        assert analysis.predicted_exceeds_nyquist
 
 
 class TestRunSensitivity:
@@ -117,12 +151,11 @@ class TestRunNoiseColorSweep:
     def test_n_min_matches_find_n_min(self, alpha):
         # At these settings alpha 2 turns white at 7 bits; alpha 2.5 never does.
         r, trials, n, fs, seed = (4, 8), 2, 30_000, 2000.0, 5
-        sweep = run_noise_color_sweep([alpha], r, trials, n, fs, seed)
+        sweep = run_noise_color_sweep([alpha], r, trials, seed, n, fs)
         assert find_n_min(alpha, r, trials, seed, n, fs) == sweep.n_min[alpha]
 
-    @pytest.mark.parametrize("fn", [noise_color_cells, find_n_min, run_noise_color_sweep])
-    def test_defaults_are_the_cli_base(self, fn):
-        params = inspect.signature(fn).parameters
+    def test_defaults_are_the_cli_base(self):
+        params = inspect.signature(find_n_min).parameters
         for name in ("n_samples", "sample_rate_hz"):
             assert params[name].default == NOISE_COLOR_DEFAULTS[name]
 
@@ -198,4 +231,4 @@ class TestAnalyzeSignal:
         rep = analyze_signal(sig, cfg)
         assert calls == [cfg]
         # The shared quantization gives the slope measure_noise_slope gives.
-        assert rep.noise_slope == measure_noise_slope(sig, cfg).noise_slope
+        assert rep.noise_slope == measure_noise_slope(sig, cfg)

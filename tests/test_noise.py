@@ -9,7 +9,6 @@ from quantband.noise import (
     SynthesisSpec,
     reference_rate_scale,
     synthesize,
-    target_psd_shape,
 )
 from quantband.spectral import default_fit_band, fit_slope, welch_psd
 
@@ -64,6 +63,17 @@ class TestSynthesize:
         band = (16.0, 500.0)
         assert abs(fitted_slope(bumped, band) - fitted_slope(flat, band)) < 0.05
 
+    def test_peak_multiplies_power_at_its_center(self):
+        # 1 Hz bins: the peak multiplies the power at bin 10 by 1 + 50 and
+        # leaves bin 500 alone; peak normalization scales every bin alike.
+        peak = PeakSpec(center_hz=10.0, width_hz=1.0, amplitude_factor=50.0)
+        plain = np.fft.rfft(synthesize(SynthesisSpec(2.0, 4096, 4096.0, seed=5)).samples)
+        bumped = np.fft.rfft(
+            synthesize(SynthesisSpec(2.0, 4096, 4096.0, seed=5, peaks=(peak,))).samples
+        )
+        gain = np.abs(bumped / plain) ** 2
+        assert gain[10] / gain[500] == pytest.approx(51.0, rel=1e-9)
+
     def test_zero_amplitude_peak_is_identity(self):
         peak = PeakSpec(center_hz=50.0, width_hz=5.0, amplitude_factor=0.0)
         plain = synthesize(SynthesisSpec(1.0, 8192, 2000.0, seed=4))
@@ -113,33 +123,6 @@ class TestReferenceRateScale:
             reference_rate_scale(2.0, 0.0)
 
 
-class TestTargetPsdShape:
-    def test_inverse_square_ratio(self):
-        spec = SynthesisSpec(2.0, 4096, 2000.0)
-        v10, v100 = target_psd_shape(spec, np.array([10.0, 100.0]))
-        assert v10 == pytest.approx(100.0 * v100, rel=1e-12)
-
-    def test_peak_multiplier_at_center(self):
-        peak = PeakSpec(center_hz=10.0, width_hz=1.0, amplitude_factor=50.0)
-        plain = SynthesisSpec(2.0, 4096, 2000.0)
-        bumped = SynthesisSpec(2.0, 4096, 2000.0, peaks=(peak,))
-        f = np.array([10.0])
-        assert target_psd_shape(bumped, f)[0] == pytest.approx(
-            51.0 * target_psd_shape(plain, f)[0], rel=1e-12
-        )
-
-    def test_one_over_f_ratios(self):
-        spec = SynthesisSpec(1.0, 4096, 2000.0)
-        values = target_psd_shape(spec, np.array([1.0, 2.0, 4.0]))
-        assert values[0] == pytest.approx(2.0 * values[1], rel=1e-12)
-        assert values[1] == pytest.approx(2.0 * values[2], rel=1e-12)
-
-    def test_nonpositive_frequency_rejected(self):
-        spec = SynthesisSpec(1.0, 4096, 2000.0)
-        with pytest.raises(ValidationError):
-            target_psd_shape(spec, np.array([0.0, 10.0]))
-
-
 class TestSignal:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
@@ -153,4 +136,3 @@ class TestSignal:
         sig = Signal(np.zeros(200), 100.0)
         assert sig.n_samples == 200
         assert sig.nyquist_hz == 50.0
-        assert sig.duration_s == pytest.approx(2.0)

@@ -11,6 +11,7 @@ from quantband.quantizer import QuantizerConfig
 from quantband.scaling import (
     detect_cutoff,
     find_n_min,
+    is_white,
     measure_noise_slope,
     predicted_cutoff,
     scaling_ratio,
@@ -74,6 +75,17 @@ class TestPredictedCutoff:
         lo = predicted_cutoff(alpha, s0, fs, QuantizerConfig(bits, full_scale))
         hi = predicted_cutoff(alpha, s0, fs, QuantizerConfig(bits + 1, full_scale))
         assert hi.f_c_hz / lo.f_c_hz == pytest.approx(scaling_ratio(alpha), rel=1e-12)
+
+    def test_shallow_slope_overflows_to_inf(self):
+        est = predicted_cutoff(1e-3, 1.0, 2000.0, QuantizerConfig(bits=8, full_scale=2.0))
+        assert est.f_c_hz == math.inf
+        assert est.exceeded_nyquist
+
+    def test_overflowing_factor_with_finite_product(self):
+        # 2^(16 / 0.015) overflows a float, but base = 2^-16 cancels it: f_c = 1 Hz.
+        est = predicted_cutoff(0.015, 2.0**-16 / 3000.0, 2000.0, QuantizerConfig(8, 2.0))
+        assert est.f_c_hz == pytest.approx(1.0, rel=1e-9)
+        assert not est.exceeded_nyquist
 
     def test_rejects_bad_inputs(self):
         cfg = QuantizerConfig(bits=8, full_scale=2.0)
@@ -158,21 +170,27 @@ class TestDetectCutoff:
 class TestNoiseColor:
     def test_white_input_gives_white_error(self):
         sig = synthesize(SynthesisSpec(0.0, 65_536, 2000.0, seed=6))
-        report = measure_noise_slope(sig, QuantizerConfig(bits=6, full_scale=2.0))
-        assert report.is_white
-        assert abs(report.noise_slope) < 0.1
+        slope = measure_noise_slope(sig, QuantizerConfig(bits=6, full_scale=2.0))
+        assert is_white(slope)
+        assert abs(slope) < 0.1
 
     @pytest.mark.parametrize("bits", [4, 8])
     def test_white_input_white_across_depths(self, bits):
         sig = synthesize(SynthesisSpec(0.0, 65_536, 2000.0, seed=7))
-        report = measure_noise_slope(sig, QuantizerConfig(bits=bits, full_scale=2.0))
-        assert report.is_white
+        assert is_white(measure_noise_slope(sig, QuantizerConfig(bits=bits, full_scale=2.0)))
 
     def test_colored_at_low_bits_for_steep_spectrum(self):
         sig = synthesize(SynthesisSpec(2.0, 100_000, 2000.0, seed=8))
-        report = measure_noise_slope(sig, QuantizerConfig(bits=4, full_scale=2.0))
-        assert not report.is_white
-        assert report.noise_slope < -0.5
+        slope = measure_noise_slope(sig, QuantizerConfig(bits=4, full_scale=2.0))
+        assert not is_white(slope)
+        assert slope < -0.5
+
+    @pytest.mark.parametrize(
+        "slope, white",
+        [(0.0, True), (-0.0999, True), (0.0999, True), (-0.1, False), (0.1, False), (-1.2, False)],
+    )
+    def test_is_white_threshold(self, slope, white):
+        assert is_white(slope) is white
 
     def test_find_n_min_pink_noise(self):
         assert find_n_min(1.0, (4, 6), trials=3, master_seed=0) == 4
