@@ -59,7 +59,7 @@ def is_white(slope: float) -> bool:
 
 
 def check_grid(bit_range: tuple[int, int], trials: int) -> tuple[int, int]:
-    """Reject fewer than one trial or an empty bit range; the range as ints."""
+    """Reject fewer than one trial or an empty bit range; return the range as ints."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     n_lo, n_hi = int(bit_range[0]), int(bit_range[1])

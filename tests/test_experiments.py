@@ -63,7 +63,7 @@ class TestRunValidation:
             lambda bit_range, trials: ValidationConfig(2.0, 2000.0, 30_000, bit_range, trials),
             lambda bit_range, trials: find_n_min(2.0, bit_range, trials, 0, 30_000, 2000.0),
         ],
-        ids=["ValidationConfig", "find_n_min"],
+        ids=["config", "n_min"],
     )
     @pytest.mark.parametrize(
         "bit_range, trials, message",
@@ -72,13 +72,14 @@ class TestRunValidation:
             ((0, 5), 3, "invalid bit range (0, 5)"),
             ((5, 6), 0, "trials must be >= 1, got 0"),
         ],
+        ids=["reversed", "zero-bits", "zero-trials"],
     )
-    def test_invalid_grids_rejected(self, make, bit_range, trials, message):
+    def test_invalid_configs_rejected(self, make, bit_range, trials, message):
         with pytest.raises(ValidationError) as exc:
             make(bit_range, trials)
         assert str(exc.value) == message
 
-    def test_invalid_floor_method_rejected(self):
+    def test_unknown_floor_method_rejected(self):
         with pytest.raises(ValidationError):
             ValidationConfig(2.0, 2000.0, 30_000, (5, 6), 3, floor_method="magic")
 
