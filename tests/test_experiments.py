@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from quantband import experiments, quantizer
-from quantband.errors import NoMeasurableBandError, ValidationError
+from quantband.errors import NoMeasurableBandError, NoUsableBandError, ValidationError
 from quantband.experiments import (
     NOISE_COLOR_DEFAULTS,
     ValidationConfig,
@@ -18,13 +18,16 @@ from quantband.experiments import (
     standard_bands,
 )
 from quantband.noise import PeakSpec, Signal, SynthesisSpec, synthesize
-from quantband.quantizer import QuantizerConfig
-from quantband.scaling import find_n_min, measure_noise_slope
+from quantband.quantizer import QuantizerConfig, theoretical_noise_floor
+from quantband.scaling import CutoffEstimate, find_n_min, measure_noise_slope
 from quantband.spectral import SpectralFit
 
 SMALL = ValidationConfig(
     alpha=2.0, sample_rate_hz=2000.0, n_samples=30_000, bit_range=(5, 6), trials=3
 )
+# A fit that does not fall: its closed-form cutoff is NaN, which never
+# drops a depth from validation.
+RISING = SpectralFit(slope=0.5, intercept_log10=3.0, fit_band_hz=(1.0, 2.0), rms_residual=0.0)
 
 
 class TestRunValidation:
@@ -86,17 +89,58 @@ class TestRunValidation:
     def test_rising_fit_keeps_the_depth_that_analyze_flags(self, monkeypatch):
         # A fit that does not fall has no closed-form cutoff (NaN): validate
         # keeps every depth it detects, and analyze flags the missing value.
-        rising = SpectralFit(
-            slope=0.5, intercept_log10=3.0, fit_band_hz=(1.0, 2.0), rms_residual=0.0
-        )
-        monkeypatch.setattr(experiments, "fit_slope", lambda psd, band: rising)
+        monkeypatch.setattr(experiments, "fit_slope", lambda psd, band: RISING)
         cfg = QuantizerConfig(5, 2.0)
-        assert math.isnan(experiments._fitted_cutoff(rising, SMALL.sample_rate_hz, cfg))
+        assert math.isnan(experiments._fitted_cutoff(RISING, SMALL.sample_rate_hz, cfg))
         rep = run_validation(SMALL)
         assert [b.valid_trials for b in rep.per_bit_cutoffs] == [SMALL.trials] * 2
         analysis = analyze_signal(synthesize(SynthesisSpec(2.0, 30_000, 2000.0, seed=12)), cfg)
         assert math.isnan(analysis.predicted_cutoff_hz)
         assert analysis.predicted_exceeds_nyquist
+
+
+    def test_aggregation_of_scripted_cutoffs(self, monkeypatch):
+        # Cutoffs in Hz per trial (rows) and bit depth 5..9 (columns); "usable"
+        # raises NoUsableBandError and "nyquist" flags the crossing at Nyquist.
+        script = [
+            [10.0, 20.0, 40.0, "usable", "nyquist"],
+            [12.0, 30.0, "nyquist", 90.0, "usable"],
+            [8.0, 16.0, "usable", 64.0, "nyquist"],
+        ]
+        cfg = replace(SMALL, bit_range=(5, 9), n_samples=8192)
+        bits_at_floor = {
+            theoretical_noise_floor(QuantizerConfig(b, 2.0), cfg.sample_rate_hz): b for b in cfg.bits
+        }
+        calls = {b: 0 for b in cfg.bits}
+
+        def scripted(psd, floor, method):
+            bits = bits_at_floor[floor]
+            value = script[calls[bits]][bits - 5]
+            calls[bits] += 1
+            if value == "usable":
+                raise NoUsableBandError("scripted")
+            exceeded = value == "nyquist"
+            return CutoffEstimate(psd.freqs_hz[-1] if exceeded else value, floor, method, exceeded)
+
+        monkeypatch.setattr(experiments, "detect_cutoff", scripted)
+        monkeypatch.setattr(experiments, "fit_slope", lambda psd, band: RISING)
+        rep = run_validation(cfg)
+
+        stats = [(b.bits, b.mean_f_c_hz, b.std_f_c_hz, b.valid_trials, b.excluded)
+                 for b in rep.per_bit_cutoffs]
+        assert stats == [
+            (5, pytest.approx(10.0), pytest.approx(math.sqrt(8 / 3)), 3, False),
+            (6, pytest.approx(22.0), pytest.approx(math.sqrt(104 / 3)), 3, False),
+            (7, 40.0, 0.0, 1, False),
+            (8, 77.0, 13.0, 2, False),
+            (9, None, None, 0, True),
+        ]
+        assert rep.excluded_bits == [9]
+        # A ratio counts only in trials that kept both depths: 6 -> 7 pairs
+        # trial 0 alone, and 7 -> 8 pairs no trial, so it has no step.
+        steps = [(s.bits_low, s.bits_high, s.n_trials, s.mean_ratio) for s in rep.ratios]
+        assert steps == [(5, 6, 3, pytest.approx(6.5 / 3)), (6, 7, 1, 2.0)]
+        assert rep.measured_ratio_mean == pytest.approx(8.5 / 4)
 
 
 class TestRunSensitivity:

@@ -4,7 +4,8 @@ Each report is regenerated and compared with its committed JSON (the
 timestamp stripped) by the benchmark's own comparator: discrete fields
 exactly, numbers within ``check.REL_TOL`` relative. The validation,
 table-2 and N_min runs are the session fixtures the acceptance suite
-uses, so the gate adds only the three ``analyze`` runs.
+uses; the gate adds the ``analyze``, ``sensitivity``, ``peaks`` and
+``bands`` runs of the battery.
 
 A change that moves a number on purpose declares it, deletes the golden
 file, and reruns this test, which writes the file afresh and fails once
@@ -17,7 +18,15 @@ from pathlib import Path
 
 import pytest
 
-from quantband.experiments import VALIDATION_PRESETS, analyze_signal
+from quantband.cli import DEFAULT_PEAKS, PEAKS_BASE, SENSITIVITY_DELTAS
+from quantband.experiments import (
+    DEFAULT_SEED,
+    VALIDATION_PRESETS,
+    analyze_signal,
+    run_band_power,
+    run_peak_robustness,
+    run_sensitivity,
+)
 from quantband.io import report_to_dict
 from quantband.noise import SynthesisSpec, synthesize
 from quantband.quantizer import QuantizerConfig
@@ -32,6 +41,10 @@ import check  # noqa: E402
 # analyzed at the range ``analyze`` gives it by default (2 * max|x| = 2).
 ANALYZED = SynthesisSpec(2.0, 65_536, 2000.0, seed=3)
 ANALYZED_BITS = (4, 8, 12)
+# The battery's band-power proxy, ``synth --alpha 1.56 --n 8192 --fs 160``,
+# quantized by ``bands --range 2``.
+PROXY = SynthesisSpec(1.56, 8192, 160.0, seed=DEFAULT_SEED)
+PROXY_BITS = (4, 6, 8)
 
 
 def payload(report) -> dict:
@@ -69,3 +82,19 @@ def test_n_min_answers(n_min_answers):
 def test_analyze_reports(bits):
     report = analyze_signal(synthesize(ANALYZED), QuantizerConfig(bits, 2.0))
     assert_matches_golden(f"analyze-{bits}bit", payload(report))
+
+
+def test_sensitivity_report():
+    report = run_sensitivity(VALIDATION_PRESETS["paper-alpha20"], list(SENSITIVITY_DELTAS))
+    assert_matches_golden("sensitivity-paper-alpha20", payload(report))
+
+
+def test_peak_robustness_report():
+    report = run_peak_robustness(PEAKS_BASE, list(DEFAULT_PEAKS))
+    assert_matches_golden("peaks", payload(report))
+
+
+@pytest.mark.parametrize("bits", PROXY_BITS)
+def test_band_power_reports(bits):
+    report = run_band_power(synthesize(PROXY), QuantizerConfig(bits, 2.0))
+    assert_matches_golden(f"bands-{bits}bit", payload(report))
