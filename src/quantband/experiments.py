@@ -148,8 +148,8 @@ def _fitted_cutoff(fit: SpectralFit, sample_rate_hz: float, cfg: QuantizerConfig
     return predicted_cutoff(fit.alpha_hat, fit.s0_hat, sample_rate_hz, cfg).f_c_hz
 
 
-def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> dict[int, float]:
-    """Detected sub-Nyquist cutoffs per bit depth for one trial.
+def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> np.ndarray:
+    """Detected sub-Nyquist cutoff at each of ``cfg.bits`` for one trial, NaN where dropped.
 
     The signal level is fixed in physical units, not per signal: the
     trial's synthesis is scaled by ``reference_rate_scale``, so every rate
@@ -178,7 +178,7 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> dict[int, float]:
     psd = welch_psd(signal, cfg.segment_len)
     fit = fit_slope(psd, default_fit_band(psd))
 
-    cutoffs: dict[int, float] = {}
+    row: list[float] = []
     for bits in cfg.bits:
         qcfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
         if cfg.floor_method == FLOOR_THEORETICAL:
@@ -189,11 +189,11 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> dict[int, float]:
         try:
             detected = detect_cutoff(psd, floor, cfg.floor_method)
         except NoUsableBandError:
-            continue
-        if detected.exceeded_nyquist or _fitted_cutoff(fit, cfg.sample_rate_hz, qcfg) > nyquist:
-            continue
-        cutoffs[bits] = detected.f_c_hz
-    return cutoffs
+            kept = False
+        else:
+            kept = not (detected.exceeded_nyquist or _fitted_cutoff(fit, cfg.sample_rate_hz, qcfg) > nyquist)
+        row.append(detected.f_c_hz if kept else np.nan)
+    return np.array(row)
 
 
 def run_validation(cfg: ValidationConfig) -> ValidationReport:
@@ -202,50 +202,37 @@ def run_validation(cfg: ValidationConfig) -> ValidationReport:
     Per trial: synthesize at the physical level described in
     ``_trial_cutoffs``, estimate the PSD, and detect the cutoff at each
     bit depth against the configured noise floor (the empirical floor
-    comes from the quantized signal's own PSD). Ratios are formed
-    per trial between consecutive bit depths that are both measurable in
-    that trial; Nyquist-flagged depths are excluded.
+    comes from the quantized signal's own PSD) into one (trial, bits)
+    array, NaN where the trial dropped the depth. The ratio of consecutive
+    depths counts only in the trials that kept both.
     """
     predicted = scaling_ratio(cfg.alpha)
-    per_trial = [_trial_cutoffs(cfg, i) for i in range(cfg.trials)]
-
-    per_bit: list[BitCutoffStats] = []
-    excluded_bits: list[int] = []
-    for bits in cfg.bits:
-        values = [c[bits] for c in per_trial if bits in c]
-        excluded = not values
-        if excluded:
-            excluded_bits.append(bits)
-        per_bit.append(
-            BitCutoffStats(
-                bits=bits,
-                mean_f_c_hz=float(np.mean(values)) if values else None,
-                std_f_c_hz=float(np.std(values)) if values else None,
-                valid_trials=len(values),
-                excluded=excluded,
-            )
+    f_c = np.array([_trial_cutoffs(cfg, i) for i in range(cfg.trials)])
+    per_bit = [
+        BitCutoffStats(
+            bits=bits,
+            mean_f_c_hz=float(np.mean(values)) if values.size else None,
+            std_f_c_hz=float(np.std(values)) if values.size else None,
+            valid_trials=values.size,
+            excluded=not values.size,
         )
+        for bits, values in zip(cfg.bits, (column[~np.isnan(column)] for column in f_c.T))
+    ]
 
-    steps: list[StepRatio] = []
-    pooled: list[float] = []
-    for low, high in zip(cfg.bits[:-1], cfg.bits[1:]):
-        if low in excluded_bits or high in excluded_bits:
-            continue
-        ratios = [c[high] / c[low] for c in per_trial if low in c and high in c]
-        if not ratios:
-            continue
-        mean_ratio = float(np.mean(ratios))
-        steps.append(
-            StepRatio(
-                bits_low=low,
-                bits_high=high,
-                mean_ratio=mean_ratio,
-                std_ratio=float(np.std(ratios)),
-                n_trials=len(ratios),
-                rel_error=abs(mean_ratio - predicted) / predicted,
-            )
+    # Per step, the ratios of the trials that kept both depths; the others divide to NaN.
+    step_ratios = [column[~np.isnan(column)] for column in (f_c[:, 1:] / f_c[:, :-1]).T]
+    steps = [
+        StepRatio(
+            bits_low=low,
+            bits_high=high,
+            mean_ratio=float(np.mean(ratios)),
+            std_ratio=float(np.std(ratios)),
+            n_trials=ratios.size,
+            rel_error=abs(float(np.mean(ratios)) - predicted) / predicted,
         )
-        pooled.extend(ratios)
+        for low, high, ratios in zip(cfg.bits[:-1], cfg.bits[1:], step_ratios)
+        if ratios.size
+    ]
 
     if not steps:
         raise NoMeasurableBandError(
@@ -253,6 +240,7 @@ def run_validation(cfg: ValidationConfig) -> ValidationReport:
             f"sub-Nyquist cutoffs (alpha={cfg.alpha}, f_s={cfg.sample_rate_hz} Hz)"
         )
 
+    pooled = np.concatenate(step_ratios)
     return ValidationReport(
         config=cfg,
         predicted_ratio=predicted,
@@ -261,7 +249,7 @@ def run_validation(cfg: ValidationConfig) -> ValidationReport:
         measured_ratio_mean=float(np.mean(pooled)),
         measured_ratio_std=float(np.std(pooled)),
         mean_error=float(np.mean([s.rel_error for s in steps])),
-        excluded_bits=excluded_bits,
+        excluded_bits=[b.bits for b in per_bit if b.excluded],
     )
 
 
@@ -344,23 +332,15 @@ def run_sensitivity(cfg: ValidationConfig, perturbations: list[float]) -> Sensit
     for delta in perturbations:
         if cfg.alpha + delta <= 0:
             raise ValidationError(f"perturbation {delta} makes alpha nonpositive")
-    base = run_validation(cfg)
-    measured = base.measured_ratio_mean
-    rows = []
-    for delta in perturbations:
-        perturbed = cfg.alpha + delta
-        pred = scaling_ratio(perturbed)
-        rows.append(
-            SensitivityRow(
-                delta_alpha=delta,
-                perturbed_alpha=perturbed,
-                predicted_ratio=pred,
-                rel_error=abs(pred - measured) / measured,
-            )
-        )
-    baseline = abs(scaling_ratio(cfg.alpha) - measured) / measured
+    measured = run_validation(cfg).measured_ratio_mean
+
+    def row(delta: float) -> SensitivityRow:
+        pred = scaling_ratio(cfg.alpha + delta)
+        return SensitivityRow(delta, cfg.alpha + delta, pred, abs(pred - measured) / measured)
+
+    rows = [row(delta) for delta in perturbations]
     return SensitivityReport(
-        config=cfg, measured_ratio=measured, baseline_rel_error=baseline, rows=rows
+        config=cfg, measured_ratio=measured, baseline_rel_error=row(0.0).rel_error, rows=rows
     )
 
 
@@ -397,7 +377,6 @@ def run_peak_robustness(base: ValidationConfig, peaks: list[PeakSpec]) -> PeakRo
     baseline = run_validation(replace(base, peaks=()))
     rows = []
     for peak in peaks:
-        peak.validate(base.sample_rate_hz)
         report = run_validation(replace(base, peaks=(peak,)))
         rows.append(
             PeakRobustnessRow(
@@ -446,6 +425,7 @@ def run_band_power(
     if bands is None:
         bands = standard_bands(signal.nyquist_hz)
     segment_len = min(DEFAULT_SEGMENT_LEN, signal.n_samples)
+    segment_len -= segment_len % 2  # an odd segment's last bin falls short of Nyquist
     for _, f_low, f_high in bands:
         if not (0 < f_low < f_high <= signal.nyquist_hz):
             raise ValidationError(

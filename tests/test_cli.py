@@ -245,6 +245,21 @@ class TestExperimentCommands:
         assert set(ratios) == {"delta", "theta", "alpha", "beta", "gamma"}
         assert all(0.8 <= v <= 1.2 for v in ratios.values())
 
+    def test_bands_on_odd_short_signal(self, tmp_path, capsys):
+        # An odd record shorter than one default segment: the gamma band
+        # still ends at the Nyquist frequency.
+        sig_path, out = tmp_path / "odd.f64", tmp_path / "bands.json"
+        run(capsys, "synth", "--alpha", "1.56", "--n", "4095", "--fs", "160",
+            "--seed", "1", "--out", str(sig_path))
+        code, _, err = run(
+            capsys, "bands", "--in", str(sig_path), "--fs", "160", "--bits", "6",
+            "--range", "2", "--out", str(out),
+        )
+        assert code == 0, err
+        rows = json.loads(out.read_text())["report"]["rows"]
+        assert len(rows) == 5
+        assert rows[-1]["f_high_hz"] == 80.0
+
     def test_nmin_smoke(self, capsys):
         code, stdout, _ = run(
             capsys, "nmin", "--alpha", "1", "--bits", "4:5", "--trials", "2", "--n", "30000",

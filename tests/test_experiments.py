@@ -98,7 +98,6 @@ class TestRunValidation:
         assert math.isnan(analysis.predicted_cutoff_hz)
         assert analysis.predicted_exceeds_nyquist
 
-
     def test_aggregation_of_scripted_cutoffs(self, monkeypatch):
         # Cutoffs in Hz per trial (rows) and bit depth 5..9 (columns); "usable"
         # raises NoUsableBandError and "nyquist" flags the crossing at Nyquist.
