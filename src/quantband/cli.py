@@ -66,38 +66,31 @@ GRID_FIELDS = {
 }
 
 
-def _parse_peak(text: str) -> PeakSpec:
+def _colon_fields(text: str, converters: tuple, form: str, kind: str) -> tuple:
+    """``text`` split on ":", field i converted by ``converters[i]``; errors quote ``text``."""
     parts = text.split(":")
-    if len(parts) != 3:
-        raise ValidationError(f"peak must be center:width:amplitude, got {text!r}")
+    if len(parts) != len(converters):
+        raise ValidationError(f"{form}, got {text!r}")
     try:
-        center, width, amp = (float(p) for p in parts)
+        return tuple(convert(part) for convert, part in zip(converters, parts))
     except ValueError:
-        raise ValidationError(f"peak fields must be numeric, got {text!r}") from None
-    return PeakSpec(center_hz=center, width_hz=width, amplitude_factor=amp)
+        raise ValidationError(f"{kind}, got {text!r}") from None
+
+
+def _parse_peak(text: str) -> PeakSpec:
+    form, kind = "peak must be center:width:amplitude", "peak fields must be numeric"
+    return PeakSpec(*_colon_fields(text, (float, float, float), form, kind))
 
 
 def _parse_bit_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) == 1:
-        parts = [parts[0], parts[0]]
-    if len(parts) != 2:
-        raise ValidationError(f"bit range must be lo:hi, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValidationError(f"bit range fields must be integers, got {text!r}") from None
-    return lo, hi
+    form, kind = "bit range must be lo:hi", "bit range fields must be integers"
+    fields = _colon_fields(text, (int, int) if ":" in text else (int,), form, kind)
+    return fields[0], fields[-1]  # a single depth N stands for N:N
 
 
 def _parse_band(text: str) -> tuple[str, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValidationError(f"band must be name:f_low:f_high, got {text!r}")
-    try:
-        return parts[0], float(parts[1]), float(parts[2])
-    except ValueError:
-        raise ValidationError(f"band edges must be numeric, got {text!r}") from None
+    form, kind = "band must be name:f_low:f_high", "band edges must be numeric"
+    return _colon_fields(text, (str, float, float), form, kind)
 
 
 def _signal_format(path: str, explicit: str | None) -> str:
@@ -199,8 +192,7 @@ def cmd_analyze(args) -> int:
         flag = " [beyond Nyquist]" if report.predicted_exceeds_nyquist else ""
         print(f"f_c (closed form):  {report.predicted_cutoff_hz:.1f} Hz{flag}")
     if args.out:
-        write_report(report, args.out, args.format)
-        print(args.out if args.quiet else f"report written to {args.out}")
+        _emit(args, report, "analysis_report")
     return EXIT_OK
 
 

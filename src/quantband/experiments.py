@@ -93,6 +93,11 @@ class ValidationConfig:
         object.__setattr__(self, "peaks", tuple(self.peaks))
         if self.floor_method not in (FLOOR_THEORETICAL, FLOOR_EMPIRICAL):
             raise ValidationError(f"unknown floor method {self.floor_method!r}")
+        # A bad rate or peak fails here, before any trial is synthesized.
+        if not (self.sample_rate_hz > 0 and np.isfinite(self.sample_rate_hz)):
+            raise ValidationError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        for peak in self.peaks:
+            peak.validate(self.sample_rate_hz)
 
     @property
     def bits(self) -> list[int]:
@@ -374,10 +379,11 @@ def run_peak_robustness(base: ValidationConfig, peaks: list[PeakSpec]) -> PeakRo
     The baseline is the peak-free validation of the same config; with no
     peaks the report reduces to that baseline exactly.
     """
+    configs = [replace(base, peaks=(peak,)) for peak in peaks]  # checks every peak first
     baseline = run_validation(replace(base, peaks=()))
     rows = []
-    for peak in peaks:
-        report = run_validation(replace(base, peaks=(peak,)))
+    for peak, cfg in zip(peaks, configs):
+        report = run_validation(cfg)
         rows.append(
             PeakRobustnessRow(
                 peak=peak,

@@ -76,9 +76,9 @@ def _parse_csv_row(line: str, channel: int, row: int, path: str) -> float:
 
 # str.splitlines() also ends a line at these; a text file's line iterator,
 # and so np.loadtxt, does not. Text-mode reads have already turned "\r\n"
-# and a lone "\r" into "\n", so in ASCII text without these the two agree
-# on every line.
-_SPLITLINES_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+# and a lone "\r" into "\n", so in text without these the two agree on
+# every line.
+_SPLITLINES_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 def _data_rows(lines, spec: SignalFileSpec):
@@ -108,7 +108,7 @@ def _load_csv_fast(fh, text: str, spec: SignalFileSpec) -> np.ndarray | None:
     split that might differ from ``str.splitlines()``, a row ``loadtxt``
     rejects, or a non-finite sample.
     """
-    if not text.isascii() or any(c in text for c in _SPLITLINES_ONLY_BREAKS):
+    if any(c in text for c in _SPLITLINES_ONLY_BREAKS):
         return None
     fh.seek(0)
     first_line, _ = next(_data_rows(enumerate(fh, start=1), spec))

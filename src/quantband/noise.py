@@ -2,10 +2,10 @@
 
 The generator shapes a complex Gaussian spectrum in the frequency domain:
 bin k gets amplitude f_k^(-alpha/2) (times the square root of the peak
-multiplier when Gaussian peaks are requested), the DC bin is zeroed, the
-Nyquist bin is forced real, and the result is inverse-transformed. The
-output is zero-mean and peak-normalized to 1, so a full-scale range of 2
-covers it exactly.
+multiplier when Gaussian peaks are requested) and the DC bin amplitude 0,
+and the result is inverse-transformed; the inverse real FFT reads an
+even length's Nyquist bin as real. The output is zero-mean and
+peak-normalized to 1, so a full-scale range of 2 covers it exactly.
 
 Peak normalization makes the samples the same at every sample rate. To
 model one physical process sampled at different rates, as the validation
@@ -135,10 +135,6 @@ def synthesize(spec: SynthesisSpec) -> Signal:
     re = rng.standard_normal(freqs.size)
     im = rng.standard_normal(freqs.size)
     spectrum = (re + 1j * im) * shape
-    spectrum[0] = 0.0
-    if n % 2 == 0:
-        # Nyquist bin of an even-length real FFT must be real.
-        spectrum[-1] = re[-1] * shape[-1]
 
     samples = np.fft.irfft(spectrum, n=n)
     samples -= samples.mean()

@@ -171,23 +171,11 @@ def detect_cutoff(
             f"noise floor {floor_value:.3e} lies above the entire PSD; no usable band"
         )
 
-    if below.size >= MIN_RUN:
-        run_lengths = np.convolve(below.astype(np.int64), np.ones(MIN_RUN, dtype=np.int64), mode="valid")
-        starts = np.nonzero(run_lengths == MIN_RUN)[0]
-        if starts.size:
-            return CutoffEstimate(
-                f_c_hz=_refine_crossing(psd, floor_value, float(psd.freqs_hz[starts[0]])),
-                floor_value=float(floor_value),
-                floor_method=floor_method,
-                exceeded_nyquist=False,
-            )
-
-    return CutoffEstimate(
-        f_c_hz=psd.max_freq_hz,
-        floor_value=float(floor_value),
-        floor_method=floor_method,
-        exceeded_nyquist=True,
-    )
+    # Under MIN_RUN bins, "valid" mode sums fewer than MIN_RUN, so no run is found.
+    run_lengths = np.convolve(below.astype(np.int64), np.ones(MIN_RUN, dtype=np.int64), mode="valid")
+    starts_hz = psd.freqs_hz[np.flatnonzero(run_lengths == MIN_RUN)]
+    f_c = _refine_crossing(psd, floor_value, float(starts_hz[0])) if starts_hz.size else psd.max_freq_hz
+    return CutoffEstimate(f_c, float(floor_value), floor_method, exceeded_nyquist=not starts_hz.size)
 
 
 def error_noise_slope(err: Signal) -> float:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import quantband.cli
+import quantband.experiments
 from quantband.cli import build_parser, main
 from quantband.experiments import ValidationConfig
 from quantband.noise import PeakSpec
@@ -321,6 +322,46 @@ class TestExperimentCommands:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["peaks", "--peak", "10:1"], "peak must be center:width:amplitude, got '10:1'"),
+        (["peaks", "--peak", "a:b:c"], "peak fields must be numeric, got 'a:b:c'"),
+        (["validate", "--bits", "1:2:3"], "bit range must be lo:hi, got '1:2:3'"),
+        (["validate", "--bits", "3:x"], "bit range fields must be integers, got '3:x'"),
+        (["validate", "--bits", ""], "bit range fields must be integers, got ''"),
+        (["nmin", "--alpha", "2", "--bits", "x"], "bit range fields must be integers, got 'x'"),
+        (["bands", "--band", "a:1"], "band must be name:f_low:f_high, got 'a:1'"),
+        (["bands", "--band", "a:b:c"], "band edges must be numeric, got 'a:b:c'"),
+    ],
+)
+def test_colon_flag_errors_quote_the_flag(argv, message, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    if argv[0] == "bands":
+        sig = tmp_path / "sig.f64"
+        run(capsys, "synth", "--alpha", "1", "--n", "4096", "--fs", "160", "--out", str(sig))
+        argv = [*argv, "--in", str(sig), "--fs", "160", "--bits", "6"]
+    if argv[0] != "nmin":
+        argv = [*argv, "--out", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_bad_peak_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    calls = []
+    synthesize = quantband.experiments.synthesize
+    monkeypatch.setattr(
+        quantband.experiments, "synthesize", lambda spec: calls.append(spec) or synthesize(spec)
+    )
+    code, _, err = run(capsys, "peaks", "--peak", "999:10:1", "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert err == (
+        "error: peak at 999.0 Hz with width 10.0 Hz extends past the Nyquist frequency 1000.0 Hz\n"
+    )
+    assert calls == []
 
 
 class _Resolved(Exception):

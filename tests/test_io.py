@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quantband.io
 from quantband.errors import (
     EmptySignalError,
     MalformedSampleError,
@@ -99,7 +100,7 @@ def csv_text(draw):
     blanks = [""]
     if not draw(st.booleans()):
         number = st.one_of(number, odd)
-        breaks += ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+        breaks += ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
         blanks += [" ", "\t", " \t "]
     row = st.lists(number, min_size=1, max_size=4).map(",".join)
     lines = draw(st.lists(st.one_of(row, row, row, st.sampled_from(blanks)), max_size=12))
@@ -186,6 +187,21 @@ class TestReadCsv:
             assert str(info.value) == str(exc)
         else:
             assert read_signal(spec).samples.tobytes() == expected.tobytes()
+
+    def test_non_ascii_header_takes_the_fast_path(self, tmp_path, monkeypatch):
+        # EEG exports name the unit in the header; the row parser should
+        # only look at that header, not parse every row.
+        calls = []
+        parse_row = quantband.io._parse_csv_row
+        monkeypatch.setattr(
+            quantband.io, "_parse_csv_row", lambda *a: calls.append(a) or parse_row(*a)
+        )
+        values = np.random.default_rng(3).standard_normal(1000)
+        p = tmp_path / "eeg.csv"
+        p.write_text("Fp1 (\u00b5V)\n" + "".join(f"{x:.17g}\n" for x in values.tolist()))
+        samples = read_signal(SignalFileSpec(str(p), FORMAT_CSV, 256.0)).samples
+        assert samples.tobytes() == values.tobytes()
+        assert len(calls) <= 2
 
     def test_memory_stays_bounded(self, tmp_path):
         # Parsing row by row held a Python string and float per row, about

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quantband.errors import ValidationError
 from quantband.noise import (
@@ -100,6 +102,62 @@ class TestSynthesize:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             SynthesisSpec(**kwargs)
+
+
+def hand_fixed_synthesis(spec: SynthesisSpec) -> np.ndarray:
+    """``synthesize``'s samples with the DC bin set to 0 and an even
+    length's Nyquist bin set real by hand before the inverse FFT."""
+    n = spec.n_samples
+    rng = np.random.default_rng(spec.seed)
+    freqs = np.fft.rfftfreq(n, d=1.0 / spec.sample_rate_hz)
+    mult = np.ones_like(freqs[1:])
+    for peak in spec.peaks:
+        mult += peak.amplitude_factor * np.exp(
+            -((freqs[1:] - peak.center_hz) ** 2) / (2.0 * peak.width_hz**2)
+        )
+    shape = np.zeros(freqs.size)
+    shape[1:] = freqs[1:] ** (-spec.alpha / 2.0) * np.sqrt(mult)
+    re = rng.standard_normal(freqs.size)
+    im = rng.standard_normal(freqs.size)
+    spectrum = (re + 1j * im) * shape
+    spectrum[0] = 0.0
+    if n % 2 == 0:
+        spectrum[-1] = re[-1] * shape[-1]
+    samples = np.fft.irfft(spectrum, n=n)
+    samples -= samples.mean()
+    samples /= np.max(np.abs(samples))
+    return samples
+
+
+@st.composite
+def synthesis_specs(draw):
+    """Specs of odd and even lengths, half of them with one valid peak."""
+    fs = draw(st.sampled_from([100.0, 2000.0, 20_000.0]))
+    peaks = ()
+    if draw(st.booleans()):
+        nyquist = fs / 2.0
+        width = draw(st.floats(0.001, 0.1)) * nyquist
+        center = draw(st.floats(0.01, 0.6)) * nyquist
+        peaks = (PeakSpec(center, width, draw(st.floats(0.0, 100.0))),)
+    return SynthesisSpec(
+        alpha=draw(st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.5]) | st.floats(0.0, 3.0)),
+        n_samples=draw(st.integers(16, 20_000)),
+        sample_rate_hz=fs,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        peaks=peaks,
+    )
+
+
+@given(spec=synthesis_specs())
+@example(spec=SynthesisSpec(2.0, 100_000, 20_000.0, seed=1234))
+@example(
+    spec=SynthesisSpec(1.5, 100_001, 200_000.0, seed=1234, peaks=(PeakSpec(100.0, 20.0, 0.25),))
+)
+@settings(max_examples=150, deadline=None)
+def test_synthesis_needs_no_hand_fixed_dc_or_nyquist_bin(spec):
+    # The shape's zero DC amplitude already zeroes the DC bin, and the
+    # inverse real FFT reads an even length's Nyquist bin as real.
+    assert np.array_equal(synthesize(spec).samples, hand_fixed_synthesis(spec))
 
 
 class TestReferenceRateScale:
