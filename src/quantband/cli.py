@@ -38,7 +38,7 @@ from .io import (
 )
 from .noise import PeakSpec, Signal, SynthesisSpec, synthesize
 from .quantizer import QuantizerConfig
-from .scaling import find_n_min
+from .scaling import FLOOR_EMPIRICAL, FLOOR_THEORETICAL, find_n_min
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_grid(q, **alpha)
         # Validation runs also choose their noise floor.
         if presets is VALIDATION_PRESETS:
-            q.add_argument("--floor", choices=["theoretical", "empirical"])
+            q.add_argument("--floor", choices=[FLOOR_THEORETICAL, FLOOR_EMPIRICAL])
         _add_output(q)
         q.set_defaults(fn=fn)
         return q

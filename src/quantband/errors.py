@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class QuantbandError(Exception):
     """Base class for all errors raised by this package."""
@@ -7,6 +9,12 @@ class QuantbandError(Exception):
 
 class ValidationError(QuantbandError, ValueError):
     """An input spec or config violates its invariants."""
+
+
+def check_positive(value, what: str) -> None:
+    """Raise ValidationError unless ``value`` is positive and finite."""
+    if not (value > 0 and np.isfinite(value)):
+        raise ValidationError(f"{what} must be positive, got {value}")
 
 
 class NoUsableBandError(QuantbandError):

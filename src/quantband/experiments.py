@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import NoMeasurableBandError, NoUsableBandError, ValidationError
+from .errors import NoMeasurableBandError, NoUsableBandError, ValidationError, check_positive
 from .noise import (
     PeakSpec,
     Signal,
@@ -94,8 +94,7 @@ class ValidationConfig:
         if self.floor_method not in (FLOOR_THEORETICAL, FLOOR_EMPIRICAL):
             raise ValidationError(f"unknown floor method {self.floor_method!r}")
         # A bad rate or peak fails here, before any trial is synthesized.
-        if not (self.sample_rate_hz > 0 and np.isfinite(self.sample_rate_hz)):
-            raise ValidationError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        check_positive(self.sample_rate_hz, "sample rate")
         for peak in self.peaks:
             peak.validate(self.sample_rate_hz)
 

@@ -25,6 +25,7 @@ from .errors import (
     NonFiniteSampleError,
     UnreadableFileError,
     ValidationError,
+    check_positive,
 )
 from .noise import Signal
 
@@ -46,8 +47,7 @@ class SignalFileSpec:
     def __post_init__(self):
         if self.format not in (FORMAT_CSV, FORMAT_RAW):
             raise ValidationError(f"unknown signal format {self.format!r}")
-        if not (self.sample_rate_hz > 0 and np.isfinite(self.sample_rate_hz)):
-            raise ValidationError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        check_positive(self.sample_rate_hz, "sample rate")
         if self.channel_index < 0:
             raise ValidationError(f"channel index must be >= 0, got {self.channel_index}")
 

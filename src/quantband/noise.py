@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 
 # Full-scale range that exactly covers a peak-normalized synthetic signal.
 SYNTH_FULL_SCALE = 2.0
@@ -41,8 +41,7 @@ class Signal:
             raise ValidationError("signal must be a 1-D array with at least 2 samples")
         if not np.all(np.isfinite(samples)):
             raise ValidationError("signal contains non-finite samples")
-        if not (self.sample_rate_hz > 0 and np.isfinite(self.sample_rate_hz)):
-            raise ValidationError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        check_positive(self.sample_rate_hz, "sample rate")
 
     @property
     def n_samples(self) -> int:
@@ -71,8 +70,7 @@ class PeakSpec:
             raise ValidationError(
                 f"peak center {self.center_hz} Hz must lie in (0, {nyquist}) Hz"
             )
-        if not (self.width_hz > 0 and np.isfinite(self.width_hz)):
-            raise ValidationError(f"peak width must be positive, got {self.width_hz}")
+        check_positive(self.width_hz, "peak width")
         if not (self.amplitude_factor >= 0 and np.isfinite(self.amplitude_factor)):
             raise ValidationError(
                 f"peak amplitude factor must be >= 0, got {self.amplitude_factor}"
@@ -101,8 +99,7 @@ class SynthesisSpec:
         if int(self.n_samples) != self.n_samples or self.n_samples < 16:
             raise ValidationError(f"n_samples must be an integer >= 16, got {self.n_samples}")
         object.__setattr__(self, "n_samples", int(self.n_samples))
-        if not (self.sample_rate_hz > 0 and np.isfinite(self.sample_rate_hz)):
-            raise ValidationError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        check_positive(self.sample_rate_hz, "sample rate")
         for peak in self.peaks:
             peak.validate(self.sample_rate_hz)
 
@@ -156,6 +153,5 @@ def reference_rate_scale(alpha: float, sample_rate_hz: float) -> float:
     factor is 1 at the reference rate and for alpha = 1; spectral peaks
     are scaled with the background.
     """
-    if not (sample_rate_hz > 0 and np.isfinite(sample_rate_hz)):
-        raise ValidationError(f"sample rate must be positive, got {sample_rate_hz}")
+    check_positive(sample_rate_hz, "sample rate")
     return float((REFERENCE_RATE_HZ / sample_rate_hz) ** ((alpha - 1.0) / 2.0))

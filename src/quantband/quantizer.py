@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 from .noise import Signal
 
 MAX_BITS = 24
@@ -29,8 +29,7 @@ class QuantizerConfig:
         if int(self.bits) != self.bits or not (1 <= self.bits <= MAX_BITS):
             raise ValidationError(f"bits must be an integer in [1, {MAX_BITS}], got {self.bits}")
         object.__setattr__(self, "bits", int(self.bits))
-        if not (self.full_scale > 0 and np.isfinite(self.full_scale)):
-            raise ValidationError(f"full-scale range must be positive, got {self.full_scale}")
+        check_positive(self.full_scale, "full-scale range")
 
     @property
     def step(self) -> float:
@@ -78,6 +77,5 @@ def error_signal(original: Signal, quantized: Signal) -> Signal:
 
 def theoretical_noise_floor(cfg: QuantizerConfig, sample_rate_hz: float) -> float:
     """One-sided quantization noise PSD delta^2 / (6 * f_s) under the white model."""
-    if not (sample_rate_hz > 0 and np.isfinite(sample_rate_hz)):
-        raise ValidationError(f"sample rate must be positive, got {sample_rate_hz}")
+    check_positive(sample_rate_hz, "sample rate")
     return cfg.step**2 / (6.0 * sample_rate_hz)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoUsableBandError, ValidationError
+from .errors import NoUsableBandError, ValidationError, check_positive
 from .noise import REFERENCE_RATE_HZ, Signal, SYNTH_FULL_SCALE, SynthesisSpec, synthesize
-from .quantizer import QuantizerConfig, error_signal, quantize, theoretical_noise_floor
+from .quantizer import MAX_BITS, QuantizerConfig, error_signal, quantize, theoretical_noise_floor
 from .spectral import DEFAULT_SEGMENT_LEN, Psd, default_fit_band, fit_slope, welch_psd
 
 # Crossing detector: moving-average width (bins) and required run length.
@@ -59,11 +59,11 @@ def is_white(slope: float) -> bool:
 
 
 def check_grid(bit_range: tuple[int, int], trials: int) -> tuple[int, int]:
-    """Reject fewer than one trial or an empty bit range; return the range as ints."""
+    """Reject trials < 1 or a bit range that is empty or past MAX_BITS; return the range as ints."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     n_lo, n_hi = int(bit_range[0]), int(bit_range[1])
-    if n_lo < 1 or n_lo > n_hi:
+    if n_lo < 1 or n_lo > n_hi or n_hi > MAX_BITS:
         raise ValidationError(f"invalid bit range {(n_lo, n_hi)}")
     return n_lo, n_hi
 
@@ -81,28 +81,20 @@ def predicted_cutoff(
     sample_rate_hz: float,
     cfg: QuantizerConfig,
 ) -> CutoffEstimate:
-    """Closed-form cutoff (6 S_0 f_s / R^2)^(1/alpha) * 2^(2N/alpha).
+    """Closed-form cutoff (S_0 / floor)^(1/alpha), floor from ``theoretical_noise_floor``.
 
     The value is returned even when it exceeds the Nyquist frequency;
-    ``exceeded_nyquist`` flags that case. A value beyond the float range
-    is returned as inf.
+    ``exceeded_nyquist`` flags that case. A value beyond the float range,
+    or a floor that underflows to 0, is returned as inf.
     """
-    if not (alpha > 0 and np.isfinite(alpha)):
-        raise ValidationError(f"alpha must be positive, got {alpha}")
-    if not (s0 > 0 and np.isfinite(s0)):
-        raise ValidationError(f"S_0 must be positive, got {s0}")
-    if not (sample_rate_hz > 0 and np.isfinite(sample_rate_hz)):
-        raise ValidationError(f"sample rate must be positive, got {sample_rate_hz}")
-    base = 6.0 * s0 * sample_rate_hz / cfg.full_scale**2
-    try:
-        f_c = base ** (1.0 / alpha) * 2.0 ** (2.0 * cfg.bits / alpha)
-    except OverflowError:
-        # A factor overflowed; the product may not, so take it in log space.
-        with np.errstate(over="ignore"):
-            f_c = np.exp((np.log(base) + 2.0 * cfg.bits * np.log(2.0)) / alpha)
+    check_positive(alpha, "alpha")
+    check_positive(s0, "S_0")
+    floor = theoretical_noise_floor(cfg, sample_rate_hz)
+    with np.errstate(over="ignore", divide="ignore"):
+        f_c = np.power(np.float64(s0) / floor, 1.0 / alpha)
     return CutoffEstimate(
         f_c_hz=float(f_c),
-        floor_value=theoretical_noise_floor(cfg, sample_rate_hz),
+        floor_value=floor,
         floor_method=FLOOR_THEORETICAL,
         exceeded_nyquist=bool(f_c > sample_rate_hz / 2.0),
     )
@@ -159,8 +151,7 @@ def detect_cutoff(
     frequency is returned with ``exceeded_nyquist`` set. A floor above
     the entire PSD raises NoUsableBandError.
     """
-    if not (floor_value > 0 and np.isfinite(floor_value)):
-        raise ValidationError(f"floor must be positive, got {floor_value}")
+    check_positive(floor_value, "floor")
     tiny = np.finfo(np.float64).tiny
     log_power = np.log10(np.maximum(psd.power, tiny))
     smoothed = _smooth(log_power, SMOOTH_WINDOW)

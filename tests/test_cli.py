@@ -11,6 +11,7 @@ import pytest
 
 import quantband.cli
 import quantband.experiments
+import quantband.scaling
 from quantband.cli import build_parser, main
 from quantband.experiments import ValidationConfig
 from quantband.noise import PeakSpec
@@ -361,6 +362,31 @@ def test_bad_peak_fails_before_any_trial(tmp_path, capsys, monkeypatch):
     assert err == (
         "error: peak at 999.0 Hz with width 10.0 Hz extends past the Nyquist frequency 1000.0 Hz\n"
     )
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, bit_range",
+    [
+        (["nmin", "--alpha", "2", "--bits", "4:30", "--trials", "5"], (4, 30)),
+        (["noise-color", "--alpha", "2", "--bits", "4:30", "--trials", "5"], (4, 30)),
+        (["validate", "--bits", "30:31", "--n", "1000000"], (30, 31)),
+    ],
+    ids=["nmin", "noise-color", "validate"],
+)
+def test_bit_range_past_max_bits_fails_before_any_trial(
+    argv, bit_range, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    for module in (quantband.experiments, quantband.scaling):
+        synthesize = module.synthesize
+        monkeypatch.setattr(
+            module, "synthesize", lambda spec, f=synthesize: calls.append(spec) or f(spec)
+        )
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: invalid bit range {bit_range}\n"
     assert calls == []
 
 

@@ -74,8 +74,10 @@ class TestRunValidation:
             ((6, 5), 3, "invalid bit range (6, 5)"),
             ((0, 5), 3, "invalid bit range (0, 5)"),
             ((5, 6), 0, "trials must be >= 1, got 0"),
+            ((4, 30), 3, "invalid bit range (4, 30)"),
+            ((30, 31), 3, "invalid bit range (30, 31)"),
         ],
-        ids=["reversed", "zero-bits", "zero-trials"],
+        ids=["reversed", "zero-bits", "zero-trials", "past-max-bits", "all-past-max-bits"],
     )
     def test_invalid_configs_rejected(self, make, bit_range, trials, message):
         with pytest.raises(ValidationError) as exc:

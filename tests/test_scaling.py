@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from quantband.errors import NoUsableBandError, ValidationError
 from quantband.noise import SynthesisSpec, synthesize
-from quantband.quantizer import QuantizerConfig
+from quantband.quantizer import QuantizerConfig, theoretical_noise_floor
 from quantband.scaling import (
     detect_cutoff,
     find_n_min,
@@ -82,10 +83,36 @@ class TestPredictedCutoff:
         assert est.exceeded_nyquist
 
     def test_overflowing_factor_with_finite_product(self):
-        # 2^(16 / 0.015) overflows a float, but base = 2^-16 cancels it: f_c = 1 Hz.
+        # The factors 2^(16 / 0.015) and (6 S_0 f_s / R^2)^(1 / 0.015) = 2^(-16 / 0.015)
+        # lie outside the float range, but S_0 / floor = 1, so f_c = 1 Hz.
         est = predicted_cutoff(0.015, 2.0**-16 / 3000.0, 2000.0, QuantizerConfig(8, 2.0))
         assert est.f_c_hz == pytest.approx(1.0, rel=1e-9)
         assert not est.exceeded_nyquist
+
+    @given(
+        alpha=st.floats(0.3, 4.0),
+        log_s0=st.floats(-12, 3),
+        log_fs=st.floats(2, 6),
+        full_scale=st.floats(0.1, 10.0),
+        bits=st.integers(1, 24),
+    )
+    @settings(max_examples=200)
+    def test_matches_two_factor_closed_form(self, alpha, log_s0, log_fs, full_scale, bits):
+        s0, fs, cfg = 10.0**log_s0, 10.0**log_fs, QuantizerConfig(bits, full_scale)
+        est = predicted_cutoff(alpha, s0, fs, cfg)
+        reference = (6.0 * s0 * fs / full_scale**2) ** (1.0 / alpha) * 2.0 ** (2.0 * bits / alpha)
+        assert est.f_c_hz == pytest.approx(reference, rel=1e-12)
+        assert est.floor_value == theoretical_noise_floor(cfg, fs)
+        assert est.exceeded_nyquist == (est.f_c_hz > fs / 2.0)
+
+    def test_floor_underflowing_to_zero_reads_inf(self):
+        cfg = QuantizerConfig(bits=24, full_scale=1e-100)
+        assert theoretical_noise_floor(cfg, 1e300) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = predicted_cutoff(2.0, 1.0, 1e300, cfg)
+        assert est.f_c_hz == math.inf
+        assert est.exceeded_nyquist
 
     def test_rejects_bad_inputs(self):
         cfg = QuantizerConfig(bits=8, full_scale=2.0)
