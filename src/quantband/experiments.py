@@ -41,15 +41,8 @@ from .scaling import (
     predicted_cutoff,
     scaling_ratio,
 )
-from .spectral import (
-    DEFAULT_SEGMENT_LEN,
-    SpectralFit,
-    band_power,
-    default_fit_band,
-    empirical_noise_floor,
-    fit_slope,
-    welch_psd,
-)
+from .spectral import SpectralFit, band_power, empirical_noise_floor, fit_slope, record_psd
+from .spectral import welch_psd  # noqa: F401  unused; perfbench/tracer.py patches every binding
 
 DEFAULT_SEED = 1234
 
@@ -86,7 +79,6 @@ class ValidationConfig:
     master_seed: int = DEFAULT_SEED
     floor_method: str = FLOOR_THEORETICAL
     peaks: tuple[PeakSpec, ...] = field(default_factory=tuple)
-    segment_len: int = DEFAULT_SEGMENT_LEN
 
     def __post_init__(self):
         object.__setattr__(self, "bit_range", check_grid(self.bit_range, self.trials))
@@ -179,8 +171,8 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> np.ndarray:
     )
     scale = reference_rate_scale(cfg.alpha, cfg.sample_rate_hz)
     signal = Signal(synthesize(spec).samples * scale, cfg.sample_rate_hz)
-    psd = welch_psd(signal, cfg.segment_len)
-    fit = fit_slope(psd, default_fit_band(psd))
+    psd = record_psd(signal)
+    fit = fit_slope(psd)
 
     row: list[float] = []
     for bits in cfg.bits:
@@ -188,8 +180,7 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> np.ndarray:
         if cfg.floor_method == FLOOR_THEORETICAL:
             floor = theoretical_noise_floor(qcfg, cfg.sample_rate_hz)
         else:
-            q_psd = welch_psd(quantize(signal, qcfg), cfg.segment_len)
-            floor = empirical_noise_floor(q_psd)
+            floor = empirical_noise_floor(record_psd(quantize(signal, qcfg)))
         try:
             detected = detect_cutoff(psd, floor, cfg.floor_method)
         except NoUsableBandError:
@@ -429,15 +420,13 @@ def run_band_power(
     """Quantized-to-original band power ratios from Welch PSDs."""
     if bands is None:
         bands = standard_bands(signal.nyquist_hz)
-    segment_len = min(DEFAULT_SEGMENT_LEN, signal.n_samples)
-    segment_len -= segment_len % 2  # an odd segment's last bin falls short of Nyquist
     for _, f_low, f_high in bands:
         if not (0 < f_low < f_high <= signal.nyquist_hz):
             raise ValidationError(
                 f"band ({f_low}, {f_high}) Hz outside (0, {signal.nyquist_hz}] Hz"
             )
-    psd_orig = welch_psd(signal, segment_len)
-    psd_quant = welch_psd(quantize(signal, cfg), segment_len)
+    psd_orig = record_psd(signal)
+    psd_quant = record_psd(quantize(signal, cfg))
     rows = []
     for name, f_low, f_high in bands:
         p_orig = band_power(psd_orig, f_low, f_high)
@@ -491,15 +480,14 @@ class AnalysisReport:
 
 def analyze_signal(signal: Signal, cfg: QuantizerConfig) -> AnalysisReport:
     """Run the per-signal pipeline: fit the spectrum, quantize, locate cutoffs."""
-    segment_len = min(DEFAULT_SEGMENT_LEN, signal.n_samples)
-    psd = welch_psd(signal, segment_len)
-    fit = fit_slope(psd, default_fit_band(psd))
+    psd = record_psd(signal)
+    fit = fit_slope(psd)
     # One quantization feeds both the noise slope and the empirical floor.
     quantized = quantize(signal, cfg)
     noise_slope = error_noise_slope(error_signal(signal, quantized))
 
     floor_th = theoretical_noise_floor(cfg, signal.sample_rate_hz)
-    floor_emp = empirical_noise_floor(welch_psd(quantized, segment_len))
+    floor_emp = empirical_noise_floor(record_psd(quantized))
     cut_th = detect_cutoff(psd, floor_th, FLOOR_THEORETICAL)
     cut_emp = detect_cutoff(psd, floor_emp, FLOOR_EMPIRICAL)
     pred_fc = _fitted_cutoff(fit, signal.sample_rate_hz, cfg)

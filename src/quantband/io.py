@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import filterfalse, islice
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .noise import Signal
 FORMAT_CSV = "csv"
 FORMAT_RAW = "raw_f64_le"
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -115,12 +116,12 @@ def _load_csv_fast(fh, text: str, spec: SignalFileSpec) -> np.ndarray | None:
     fh.seek(0)
     try:
         values = np.loadtxt(
-            fh,
+            # loadtxt rejects whitespace-only lines; str.isspace finds them without copying.
+            filterfalse(str.isspace, islice(fh, first_line - 1, None)),
             dtype=np.float64,
             delimiter=",",
             usecols=spec.channel_index,
             comments=None,
-            skiprows=first_line - 1,
             ndmin=1,
         )
     except ValueError:

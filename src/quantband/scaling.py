@@ -17,7 +17,8 @@ import numpy as np
 from .errors import NoUsableBandError, ValidationError, check_positive
 from .noise import REFERENCE_RATE_HZ, Signal, SYNTH_FULL_SCALE, SynthesisSpec, synthesize
 from .quantizer import MAX_BITS, QuantizerConfig, error_signal, quantize, theoretical_noise_floor
-from .spectral import DEFAULT_SEGMENT_LEN, Psd, default_fit_band, fit_slope, welch_psd
+from .spectral import Psd, fit_slope, record_psd
+from .spectral import welch_psd  # noqa: F401  unused; perfbench/tracer.py patches every binding
 
 # Crossing detector: moving-average width (bins) and required run length.
 SMOOTH_WINDOW = 9
@@ -171,8 +172,7 @@ def detect_cutoff(
 
 def error_noise_slope(err: Signal) -> float:
     """Slope of a quantization error's PSD over the default fit band."""
-    psd = welch_psd(err, min(DEFAULT_SEGMENT_LEN, err.n_samples))
-    return fit_slope(psd, default_fit_band(psd)).slope
+    return fit_slope(record_psd(err)).slope
 
 
 def measure_noise_slope(signal: Signal, cfg: QuantizerConfig) -> float:

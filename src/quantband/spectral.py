@@ -132,6 +132,15 @@ def welch_psd(
     return Psd(freqs[1:], power[1:], df)
 
 
+def record_psd(signal: Signal) -> Psd:
+    """Welch PSD of a whole record, the estimate every report is read from.
+
+    A record shorter than DEFAULT_SEGMENT_LEN is one even-length segment,
+    so its last bin sits at the Nyquist frequency.
+    """
+    return welch_psd(signal, min(DEFAULT_SEGMENT_LEN, signal.n_samples // 2 * 2))
+
+
 def default_fit_band(psd: Psd) -> tuple[float, float]:
     """Fit band [10 * df, f_max / 2], i.e. up to a quarter of the sample rate.
 
@@ -141,8 +150,10 @@ def default_fit_band(psd: Psd) -> tuple[float, float]:
     return 10.0 * psd.df_hz, psd.max_freq_hz / 2.0
 
 
-def fit_slope(psd: Psd, band_hz: tuple[float, float]) -> SpectralFit:
-    """Ordinary least squares of log10(power) on log10(freq) within a band."""
+def fit_slope(psd: Psd, band_hz: tuple[float, float] | None = None) -> SpectralFit:
+    """Least squares of log10(power) on log10(freq) in a band, by default ``default_fit_band``."""
+    if band_hz is None:
+        band_hz = default_fit_band(psd)
     f_low, f_high = band_hz
     if not (0 < f_low < f_high):
         raise ValidationError(f"invalid fit band {band_hz}")

@@ -170,6 +170,15 @@ class TestExperimentCommands:
         payload = json.loads(out.read_text())
         assert payload["report"]["predicted_ratio"] == 2.0
 
+    @pytest.mark.parametrize("command", ["validate", "sensitivity", "peaks"])
+    def test_record_shorter_than_one_segment(self, command, tmp_path, capsys):
+        # 3000 samples are fewer than one 4096-sample Welch segment; the
+        # PSD is then estimated from one segment of the whole record.
+        code, _, err = run(
+            capsys, command, "--n", "3000", "--trials", "3", "--out", str(tmp_path / "r.json")
+        )
+        assert code == 0, err
+
     def test_validate_quiet_prints_path_only(self, tmp_path, capsys):
         out = tmp_path / "val.json"
         code, stdout, _ = run(

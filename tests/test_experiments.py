@@ -91,7 +91,7 @@ class TestRunValidation:
     def test_rising_fit_keeps_the_depth_that_analyze_flags(self, monkeypatch):
         # A fit that does not fall has no closed-form cutoff (NaN): validate
         # keeps every depth it detects, and analyze flags the missing value.
-        monkeypatch.setattr(experiments, "fit_slope", lambda psd, band: RISING)
+        monkeypatch.setattr(experiments, "fit_slope", lambda psd: RISING)
         cfg = QuantizerConfig(5, 2.0)
         assert math.isnan(experiments._fitted_cutoff(RISING, SMALL.sample_rate_hz, cfg))
         rep = run_validation(SMALL)
@@ -124,7 +124,7 @@ class TestRunValidation:
             return CutoffEstimate(psd.freqs_hz[-1] if exceeded else value, floor, method, exceeded)
 
         monkeypatch.setattr(experiments, "detect_cutoff", scripted)
-        monkeypatch.setattr(experiments, "fit_slope", lambda psd, band: RISING)
+        monkeypatch.setattr(experiments, "fit_slope", lambda psd: RISING)
         rep = run_validation(cfg)
 
         stats = [(b.bits, b.mean_f_c_hz, b.std_f_c_hz, b.valid_trials, b.excluded)
@@ -257,6 +257,13 @@ class TestAnalyzeSignal:
             assert rep.cutoff_theoretical.f_c_hz == pytest.approx(
                 rep.predicted_cutoff_hz, rel=0.15
             )
+
+    def test_odd_short_record_fits_up_to_a_quarter_of_the_rate(self):
+        # An odd record under one default segment is estimated in one even
+        # segment, so the PSD reaches Nyquist and the fit band fs / 4.
+        sig = synthesize(SynthesisSpec(1.56, 4095, 160.0, seed=1))
+        rep = analyze_signal(sig, QuantizerConfig(8, 2.0))
+        assert rep.fit_band_hz[1] == 40.0
 
     def test_low_bits_flag_colored_noise(self):
         sig = synthesize(SynthesisSpec(2.0, 65_536, 2000.0, seed=12))

@@ -97,11 +97,10 @@ def csv_text(draw):
          "\t-1e-3", "abc", "1e999", "0x10", "+.5", "1e", "\x1f7"]
     )
     breaks = ["\n", "\r\n", "\r"]
-    blanks = [""]
+    blanks = ["", " ", "\t", " \t "]
     if not draw(st.booleans()):
         number = st.one_of(number, odd)
         breaks += ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
-        blanks += [" ", "\t", " \t "]
     row = st.lists(number, min_size=1, max_size=4).map(",".join)
     lines = draw(st.lists(st.one_of(row, row, row, st.sampled_from(blanks)), max_size=12))
     if draw(st.booleans()):
@@ -199,6 +198,21 @@ class TestReadCsv:
         values = np.random.default_rng(3).standard_normal(1000)
         p = tmp_path / "eeg.csv"
         p.write_text("Fp1 (\u00b5V)\n" + "".join(f"{x:.17g}\n" for x in values.tolist()))
+        samples = read_signal(SignalFileSpec(str(p), FORMAT_CSV, 256.0)).samples
+        assert samples.tobytes() == values.tobytes()
+        assert len(calls) <= 2
+
+    def test_whitespace_only_line_takes_the_fast_path(self, tmp_path, monkeypatch):
+        # loadtxt rejects a line of spaces; the row parser, which skips it,
+        # should still only look at the first row.
+        calls = []
+        parse_row = quantband.io._parse_csv_row
+        monkeypatch.setattr(
+            quantband.io, "_parse_csv_row", lambda *a: calls.append(a) or parse_row(*a)
+        )
+        values = np.random.default_rng(4).standard_normal(1000)
+        p = tmp_path / "sig.csv"
+        p.write_text("".join(f"{x:.17g}\n" for x in values.tolist()) + "   \n")
         samples = read_signal(SignalFileSpec(str(p), FORMAT_CSV, 256.0)).samples
         assert samples.tobytes() == values.tobytes()
         assert len(calls) <= 2
@@ -304,7 +318,7 @@ class TestWriteReport:
         out = tmp_path / "rep.json"
         write_report(rep, out, "json")
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["metadata"]["tool"] == "quantband"
         assert payload["metadata"]["master_seed"] == SMALL.master_seed
         body = payload["report"]
@@ -318,6 +332,8 @@ class TestWriteReport:
         ):
             assert key in body
         assert body["config"]["alpha"] == 2.0
+        # v2 dropped the segment length: every record's PSD uses one rule.
+        assert "segment_len" not in body["config"]
 
     @pytest.mark.parametrize(
         "make, header, n_rows",

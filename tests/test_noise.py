@@ -12,12 +12,11 @@ from quantband.noise import (
     reference_rate_scale,
     synthesize,
 )
-from quantband.spectral import default_fit_band, fit_slope, welch_psd
+from quantband.spectral import fit_slope, record_psd, welch_psd
 
 
 def fitted_slope(signal, band=None):
-    psd = welch_psd(signal, min(4096, signal.n_samples))
-    return fit_slope(psd, band or default_fit_band(psd)).slope
+    return fit_slope(record_psd(signal), band).slope
 
 
 class TestSynthesize:

@@ -13,7 +13,7 @@ from quantband.quantizer import (
     saturation_count,
     theoretical_noise_floor,
 )
-from quantband.spectral import default_fit_band, fit_slope, welch_psd
+from quantband.spectral import fit_slope, welch_psd
 
 
 def nearest_level(x: float, cfg: QuantizerConfig) -> float:
@@ -141,8 +141,7 @@ class TestErrorSignal:
         sig = Signal(rng.uniform(-1.0, 1.0, 100_000), 2000.0)
         err = error_signal(sig, quantize(sig, cfg))
         assert 0.8 * cfg.step**2 / 12 <= err.samples.var() <= 1.2 * cfg.step**2 / 12
-        psd = welch_psd(err)
-        assert abs(fit_slope(psd, default_fit_band(psd)).slope) < 0.1
+        assert abs(fit_slope(welch_psd(err)).slope) < 0.1
 
 
 class TestTheoreticalNoiseFloor:

@@ -181,11 +181,11 @@ class TestDetectCutoff:
         # Detected cutoff on a synthetic signal should track the closed
         # form evaluated with the fitted slope and intercept.
         from quantband.quantizer import theoretical_noise_floor
-        from quantband.spectral import default_fit_band, fit_slope, welch_psd
+        from quantband.spectral import fit_slope, welch_psd
 
         sig = synthesize(SynthesisSpec(2.0, 100_000, 2000.0, seed=2))
         psd = welch_psd(sig)
-        fit = fit_slope(psd, default_fit_band(psd))
+        fit = fit_slope(psd)
         cfg = QuantizerConfig(bits=6, full_scale=2.0)
         floor = theoretical_noise_floor(cfg, 2000.0)
         detected = detect_cutoff(psd, floor)

@@ -16,6 +16,7 @@ from quantband.spectral import (
     default_fit_band,
     empirical_noise_floor,
     fit_slope,
+    record_psd,
     welch_psd,
 )
 
@@ -212,7 +213,32 @@ class TestWelchStreaming:
         assert peak < 2_000_000
 
 
+class TestRecordPsd:
+    @pytest.mark.parametrize(
+        "n_samples, segment_len", [(16, 16), (4095, 4094), (4096, 4096), (10_001, 4096)]
+    )
+    def test_one_even_segment_rule(self, n_samples, segment_len):
+        sig = Signal(np.random.default_rng(n_samples).standard_normal(n_samples), 160.0)
+        psd = record_psd(sig)
+        reference = welch_psd(sig, segment_len)
+        assert psd.power.tobytes() == reference.power.tobytes()
+        assert psd.max_freq_hz == 80.0
+
+    def test_too_short_rejected(self):
+        with pytest.raises(ValidationError, match="segment length too small"):
+            record_psd(Signal(np.zeros(7), 160.0))
+
+
 class TestFitSlope:
+    def test_band_defaults_to_default_fit_band(self):
+        psd = power_law_psd(1.5, f_lo=0.5, n=2000)
+        assert fit_slope(psd) == fit_slope(psd, default_fit_band(psd))
+
+    def test_default_band_named_in_error(self):
+        psd = power_law_psd(1.0, f_lo=1.0, f_hi=30.0, n=30)
+        with pytest.raises(ValidationError, match=r"fit band \(10\.0, 15\.0\) contains 6 bins"):
+            fit_slope(psd)
+
     def test_exact_inverse_square(self):
         fit = fit_slope(power_law_psd(2.0), (1.0, 1000.0))
         assert fit.slope == pytest.approx(-2.0, abs=1e-9)
