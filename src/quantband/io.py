@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import filterfalse, islice
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +115,12 @@ def _load_csv_fast(fh, text: str, spec: SignalFileSpec) -> np.ndarray | None:
     fh.seek(0)
     try:
         values = np.loadtxt(
-            # loadtxt rejects whitespace-only lines; str.isspace finds them without copying.
-            filterfalse(str.isspace, islice(fh, first_line - 1, None)),
+            fh,
             dtype=np.float64,
             delimiter=",",
             usecols=spec.channel_index,
             comments=None,
+            skiprows=first_line - 1,
             ndmin=1,
         )
     except ValueError:

@@ -171,13 +171,15 @@ class TestExperimentCommands:
         assert payload["report"]["predicted_ratio"] == 2.0
 
     @pytest.mark.parametrize("command", ["validate", "sensitivity", "peaks"])
-    def test_record_shorter_than_one_segment(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("n, exit_code", [(3000, 0), (40, 2)])
+    def test_record_shorter_than_one_segment(self, command, n, exit_code, tmp_path, capsys):
         # 3000 samples are fewer than one 4096-sample Welch segment; the
-        # PSD is then estimated from one segment of the whole record.
+        # PSD is then estimated from one segment of the whole record. Under
+        # 76 samples the default fit band holds fewer than MIN_FIT_BINS bins.
         code, _, err = run(
-            capsys, command, "--n", "3000", "--trials", "3", "--out", str(tmp_path / "r.json")
+            capsys, command, "--n", str(n), "--trials", "3", "--out", str(tmp_path / "r.json")
         )
-        assert code == 0, err
+        assert code == exit_code, err
 
     def test_validate_quiet_prints_path_only(self, tmp_path, capsys):
         out = tmp_path / "val.json"

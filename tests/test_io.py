@@ -202,21 +202,6 @@ class TestReadCsv:
         assert samples.tobytes() == values.tobytes()
         assert len(calls) <= 2
 
-    def test_whitespace_only_line_takes_the_fast_path(self, tmp_path, monkeypatch):
-        # loadtxt rejects a line of spaces; the row parser, which skips it,
-        # should still only look at the first row.
-        calls = []
-        parse_row = quantband.io._parse_csv_row
-        monkeypatch.setattr(
-            quantband.io, "_parse_csv_row", lambda *a: calls.append(a) or parse_row(*a)
-        )
-        values = np.random.default_rng(4).standard_normal(1000)
-        p = tmp_path / "sig.csv"
-        p.write_text("".join(f"{x:.17g}\n" for x in values.tolist()) + "   \n")
-        samples = read_signal(SignalFileSpec(str(p), FORMAT_CSV, 256.0)).samples
-        assert samples.tobytes() == values.tobytes()
-        assert len(calls) <= 2
-
     def test_memory_stays_bounded(self, tmp_path):
         # Parsing row by row held a Python string and float per row, about
         # 13.6 MB for this 2 MB file.
