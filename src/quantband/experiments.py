@@ -41,7 +41,14 @@ from .scaling import (
     predicted_cutoff,
     scaling_ratio,
 )
-from .spectral import SpectralFit, band_power, empirical_noise_floor, fit_slope, record_psd
+from .spectral import (
+    SpectralFit,
+    band_power,
+    check_fit_samples,
+    empirical_noise_floor,
+    fit_slope,
+    record_psd,
+)
 from .spectral import welch_psd  # noqa: F401  unused; perfbench/tracer.py patches every binding
 
 DEFAULT_SEED = 1234
@@ -85,8 +92,9 @@ class ValidationConfig:
         object.__setattr__(self, "peaks", tuple(self.peaks))
         if self.floor_method not in (FLOOR_THEORETICAL, FLOOR_EMPIRICAL):
             raise ValidationError(f"unknown floor method {self.floor_method!r}")
-        # A bad rate or peak fails here, before any trial is synthesized.
+        # A bad rate, length or peak fails here, before any trial is synthesized.
         check_positive(self.sample_rate_hz, "sample rate")
+        check_fit_samples(self.n_samples)
         for peak in self.peaks:
             peak.validate(self.sample_rate_hz)
 
@@ -480,6 +488,7 @@ class AnalysisReport:
 
 def analyze_signal(signal: Signal, cfg: QuantizerConfig) -> AnalysisReport:
     """Run the per-signal pipeline: fit the spectrum, quantize, locate cutoffs."""
+    check_fit_samples(signal.n_samples)
     psd = record_psd(signal)
     fit = fit_slope(psd)
     # One quantization feeds both the noise slope and the empirical floor.

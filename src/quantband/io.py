@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,6 +32,10 @@ from .noise import Signal
 
 FORMAT_CSV = "csv"
 FORMAT_RAW = "raw_f64_le"
+# Samples formatted per write by the CSV writer, and characters per read
+# of the CSV reader's line-break scan: each bounds that step's memory.
+CSV_WRITE_BLOCK = 4096
+CSV_SCAN_CHARS = 1 << 16
 
 SCHEMA_VERSION = 2
 
@@ -101,15 +106,16 @@ def _data_rows(lines, spec: SignalFileSpec):
     yield from rows
 
 
-def _load_csv_fast(fh, text: str, spec: SignalFileSpec) -> np.ndarray | None:
+def _load_csv_fast(fh, spec: SignalFileSpec) -> np.ndarray | None:
     """Every data row of ``fh`` in one ``np.loadtxt`` call.
 
     Returns None where only the row parser can give the answer: a line
     split that might differ from ``str.splitlines()``, a row ``loadtxt``
     rejects, or a non-finite sample.
     """
-    if any(c in text for c in _SPLITLINES_ONLY_BREAKS):
-        return None
+    while chunk := fh.read(CSV_SCAN_CHARS):
+        if any(c in chunk for c in _SPLITLINES_ONLY_BREAKS):
+            return None
     fh.seek(0)
     first_line, _ = next(_data_rows(enumerate(fh, start=1), spec))
     fh.seek(0)
@@ -131,12 +137,20 @@ def _load_csv_fast(fh, text: str, spec: SignalFileSpec) -> np.ndarray | None:
 def _read_csv_samples(spec: SignalFileSpec) -> np.ndarray:
     try:
         with Path(spec.path).open() as fh:
-            text = fh.read()
-            values = _load_csv_fast(fh, text, spec)
+            values = _load_csv_fast(fh, spec)
+            if values is None:
+                fh.seek(0)
+                text = fh.read()
     except OSError as exc:
         raise UnreadableFileError(str(exc), path=spec.path) from exc
-    except UnicodeDecodeError as exc:
-        raise UnreadableFileError(f"not a text file: {exc}", path=spec.path) from exc
+    except UnicodeDecodeError:
+        # A chunked read counts the bad byte's position from its chunk;
+        # decoding the whole file counts it from the start of the file.
+        try:
+            Path(spec.path).read_text()
+        except UnicodeDecodeError as exc:
+            raise UnreadableFileError(f"not a text file: {exc}", path=spec.path) from exc
+        raise
     if values is None:
         # Row by row: the same values where every row parses, and the
         # error names the first bad row's file line where one does not.
@@ -150,18 +164,19 @@ def _read_csv_samples(spec: SignalFileSpec) -> np.ndarray:
 
 def _read_raw_samples(spec: SignalFileSpec) -> np.ndarray:
     try:
-        raw = Path(spec.path).read_bytes()
+        with Path(spec.path).open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if not size:
+                raise EmptySignalError("file contains no samples", path=spec.path)
+            if size % 8:
+                raise MalformedSampleError(
+                    f"file size {size} is not a multiple of 8",
+                    path=spec.path,
+                    location=f"byte {size - size % 8}",
+                )
+            values = np.fromfile(fh, dtype="<f8")
     except OSError as exc:
         raise UnreadableFileError(str(exc), path=spec.path) from exc
-    if not raw:
-        raise EmptySignalError("file contains no samples", path=spec.path)
-    if len(raw) % 8:
-        raise MalformedSampleError(
-            f"file size {len(raw)} is not a multiple of 8",
-            path=spec.path,
-            location=f"byte {len(raw) - len(raw) % 8}",
-        )
-    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     bad = np.nonzero(~np.isfinite(values))[0]
     if bad.size:
         raise NonFiniteSampleError(
@@ -187,12 +202,15 @@ def read_signal(spec: SignalFileSpec) -> Signal:
 
 def write_signal(signal: Signal, spec: SignalFileSpec) -> None:
     """Write a signal; raw round-trips bit-exactly, CSV to 17 significant digits."""
-    path = Path(spec.path)
+    samples = signal.samples
     if spec.format == FORMAT_CSV:
-        samples = signal.samples.tolist()
-        path.write_text(("%.17g\n" * len(samples)) % tuple(samples))
+        # Formatted a block at a time, so only one block's text is held.
+        with Path(spec.path).open("w") as fh:
+            for start in range(0, samples.size, CSV_WRITE_BLOCK):
+                block = samples[start : start + CSV_WRITE_BLOCK].tolist()
+                fh.write(("%.17g\n" * len(block)) % tuple(block))
     else:
-        path.write_bytes(signal.samples.astype("<f8").tobytes())
+        np.asarray(samples, dtype="<f8").tofile(spec.path)
 
 
 def _jsonable(value):

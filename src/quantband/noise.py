@@ -119,23 +119,32 @@ def synthesize(spec: SynthesisSpec) -> Signal:
     The same spec (including seed) always yields a bit-identical signal.
     The output is zero-mean with max |sample| = 1 at any sample rate; see
     ``reference_rate_scale`` for a level fixed in physical units.
+
+    Each spectral half is written straight into the complex spectrum, and
+    every array is dropped once used, so at most the record and a spectrum
+    are held at once. The bits are those of ``(re + 1j * im) * shape``
+    normalized by ``max(abs(x))``: a real factor scales each half exactly.
     """
     n = spec.n_samples
     rng = np.random.default_rng(spec.seed)
 
     freqs = np.fft.rfftfreq(n, d=1.0 / spec.sample_rate_hz)
-    shape = np.zeros(freqs.size)
-    shape[1:] = freqs[1:] ** (-spec.alpha / 2.0) * np.sqrt(
-        _peak_multiplier(spec, freqs[1:])
-    )
+    m = freqs.size
+    shape = np.zeros(m)
+    shape[1:] = freqs[1:] ** (-spec.alpha / 2.0)
+    if spec.peaks:
+        shape[1:] *= np.sqrt(_peak_multiplier(spec, freqs[1:]))
+    del freqs
 
-    re = rng.standard_normal(freqs.size)
-    im = rng.standard_normal(freqs.size)
-    spectrum = (re + 1j * im) * shape
+    spectrum = np.empty(m, dtype=np.complex128)
+    np.multiply(rng.standard_normal(m), shape, out=spectrum.real)
+    np.multiply(rng.standard_normal(m), shape, out=spectrum.imag)
+    del shape
 
     samples = np.fft.irfft(spectrum, n=n)
+    del spectrum
     samples -= samples.mean()
-    samples /= np.max(np.abs(samples))
+    samples /= max(samples.max(), -samples.min())
     return Signal(samples, spec.sample_rate_hz)
 
 

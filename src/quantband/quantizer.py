@@ -16,6 +16,9 @@ from .errors import ValidationError, check_positive
 from .noise import Signal
 
 MAX_BITS = 24
+# Largest full-scale range: the squares that the white floor and every
+# Welch PSD of a quantized record form stay finite below it.
+MAX_FULL_SCALE = 1e100
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,10 @@ class QuantizerConfig:
             raise ValidationError(f"bits must be an integer in [1, {MAX_BITS}], got {self.bits}")
         object.__setattr__(self, "bits", int(self.bits))
         check_positive(self.full_scale, "full-scale range")
+        if self.full_scale > MAX_FULL_SCALE:
+            raise ValidationError(
+                f"full-scale range must be at most {MAX_FULL_SCALE:g}, got {self.full_scale}"
+            )
 
     @property
     def step(self) -> float:

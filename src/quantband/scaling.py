@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NoUsableBandError, ValidationError, check_positive
 from .noise import REFERENCE_RATE_HZ, Signal, SYNTH_FULL_SCALE, SynthesisSpec, synthesize
 from .quantizer import MAX_BITS, QuantizerConfig, error_signal, quantize, theoretical_noise_floor
-from .spectral import Psd, fit_slope, record_psd
+from .spectral import Psd, check_fit_samples, fit_slope, record_psd
 from .spectral import welch_psd  # noqa: F401  unused; perfbench/tracer.py patches every binding
 
 # Crossing detector: moving-average width (bins) and required run length.
@@ -195,6 +195,7 @@ def noise_color_cells(
     Cells are computed lazily, so a caller can stop at the first white one.
     """
     n_lo, n_hi = check_grid(bit_range, trials)
+    check_fit_samples(n_samples)
     signals = [
         synthesize(SynthesisSpec(alpha, n_samples, sample_rate_hz, seed=master_seed + i))
         for i in range(trials)

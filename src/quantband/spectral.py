@@ -12,6 +12,10 @@ from .noise import Signal
 DEFAULT_SEGMENT_LEN = 4096
 DEFAULT_OVERLAP = 0.5
 MIN_FIT_BINS = 10
+# Shortest record the default fit band can be fitted on. On an L-sample
+# segment the band runs from bin 10 (= MIN_FIT_BINS) to bin L/4, which
+# holds MIN_FIT_BINS bins once L/4 >= 2 * MIN_FIT_BINS - 1.
+MIN_FIT_SAMPLES = 4 * (2 * MIN_FIT_BINS - 1)
 # Noise floors are read from the upper quarter of the frequency range.
 FLOOR_BAND_FRACTION = 0.75
 # Segments transformed together by the Welch engine; bounds its memory.
@@ -139,6 +143,15 @@ def record_psd(signal: Signal) -> Psd:
     so its last bin sits at the Nyquist frequency.
     """
     return welch_psd(signal, min(DEFAULT_SEGMENT_LEN, signal.n_samples // 2 * 2))
+
+
+def check_fit_samples(n_samples: int) -> None:
+    """Raise ValidationError unless a record of ``n_samples`` is long enough to fit."""
+    if n_samples < MIN_FIT_SAMPLES:
+        raise ValidationError(
+            f"record of {n_samples} samples is too short for a spectral fit; "
+            f"need at least {MIN_FIT_SAMPLES}"
+        )
 
 
 def default_fit_band(psd: Psd) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import pathlib
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -57,3 +58,18 @@ def n_min_answers():
         alpha: find_n_min(alpha, (4, 12), trials=20, master_seed=DEFAULT_SEED)
         for alpha in N_MIN_ALPHAS
     }
+
+
+@pytest.fixture()
+def traced_peak():
+    """``measure(fn, *args)``: the peak bytes ``tracemalloc`` sees while ``fn(*args)`` runs."""
+
+    def measure(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

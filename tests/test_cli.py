@@ -2,9 +2,11 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -146,6 +148,18 @@ class TestAnalyze:
         report = json.loads(out.read_text())["report"]
         assert report["predicted_cutoff_hz"] is None
         assert report["predicted_exceeds_nyquist"] is True
+
+    def test_huge_range_exits_two_naming_it(self, alpha2_file, capsys):
+        # The squares of a 1e200 range overflowed inside the Welch PSD.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(
+                capsys, "analyze", "--in", str(alpha2_file), "--fs", "2000",
+                "--bits", "8", "--range", "1e200",
+            )
+        assert (code, stdout, err) == (
+            2, "", "error: full-scale range must be at most 1e+100, got 1e+200\n"
+        )
 
     def test_json_report_written(self, alpha2_file, tmp_path, capsys):
         out = tmp_path / "analysis.json"
@@ -360,6 +374,46 @@ def test_colon_flag_errors_quote_the_flag(argv, message, tmp_path, capsys):
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout, err) == (2, "", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["analyze", "--fs", "100", "--bits", "8"], 7),
+        (["analyze", "--fs", "100", "--bits", "8"], 30),
+        (["validate", "--n", "40"], 40),
+        (["validate", "--n", "75"], 75),
+        (["nmin", "--alpha", "2", "--n", "40"], 40),
+    ],
+)
+def test_record_too_short_to_fit_exits_two_naming_its_length(
+    argv, n, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    for module in (quantband.experiments, quantband.scaling):
+        synthesize = module.synthesize
+        monkeypatch.setattr(
+            module, "synthesize", lambda spec, f=synthesize: calls.append(spec) or f(spec)
+        )
+    if argv[0] == "analyze":
+        sig = tmp_path / "short.csv"
+        sig.write_text("".join(f"{math.sin(i)}\n" for i in range(n)))
+        argv = [*argv, "--in", str(sig)]
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err == (
+        f"error: record of {n} samples is too short for a spectral fit; need at least 76\n"
+    )
+    assert calls == []
+
+
+def test_bands_on_a_record_too_short_to_fit_names_the_band(tmp_path, capsys):
+    # bands fits no slope, so a short record fails on its band edges.
+    sig = tmp_path / "short.csv"
+    sig.write_text("".join(f"{math.sin(i)}\n" for i in range(30)))
+    code, stdout, err = run(capsys, "bands", "--in", str(sig), "--fs", "100", "--bits", "8")
+    assert (code, stdout, err) == (2, "", "error: band (0.5, 4.0) Hz spans fewer than 2 bins\n")
 
 
 def test_bad_peak_fails_before_any_trial(tmp_path, capsys, monkeypatch):

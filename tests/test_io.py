@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from quantband.experiments import (
     run_validation,
 )
 from quantband.io import (
+    CSV_WRITE_BLOCK,
     FORMAT_CSV,
     FORMAT_RAW,
     SignalFileSpec,
@@ -145,6 +145,12 @@ class TestReadCsv:
         with pytest.raises(NonFiniteSampleError, match="row 2"):
             read_signal(SignalFileSpec(str(p), FORMAT_CSV, 100.0))
 
+    def test_undecodable_byte_located_from_the_file_start(self, tmp_path):
+        p = tmp_path / "sig.csv"
+        p.write_bytes(b"1.0\n" * 30_000 + b"\xff\n")
+        with pytest.raises(UnreadableFileError, match="in position 120000"):
+            read_signal(SignalFileSpec(str(p), FORMAT_CSV, 100.0))
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "sig.csv"
         p.write_text("")
@@ -202,19 +208,14 @@ class TestReadCsv:
         assert samples.tobytes() == values.tobytes()
         assert len(calls) <= 2
 
-    def test_memory_stays_bounded(self, tmp_path):
+    def test_memory_stays_bounded(self, tmp_path, traced_peak):
         # Parsing row by row held a Python string and float per row, about
         # 13.6 MB for this 2 MB file.
         p = tmp_path / "sig.csv"
         values = np.random.default_rng(5).standard_normal(10**5)
         p.write_text("".join(f"{x:.17g}\n" for x in values.tolist()))
-        tracemalloc.start()
-        try:
-            read_signal(SignalFileSpec(str(p), FORMAT_CSV, 100.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * p.stat().st_size
+        spec = SignalFileSpec(str(p), FORMAT_CSV, 100.0)
+        assert traced_peak(read_signal, spec) < 3 * p.stat().st_size
 
 
 class TestRawFormat:
@@ -295,6 +296,45 @@ SMALL = ValidationConfig(
     alpha=2.0, sample_rate_hz=2000.0, n_samples=30_000, bit_range=(5, 6), trials=2
 )
 EEG_PROXY = synthesize(SynthesisSpec(1.56, 8192, 160.0, seed=1))
+
+
+# Memory bounds are stated in records: one record of MEMORY_N samples is
+# 8 * MEMORY_N bytes.
+MEMORY_N = 200_000
+RECORD_BYTES = 8 * MEMORY_N
+
+
+class TestSignalFileMemory:
+    """Each signal path holds at most the record plus one fixed-size block."""
+
+    @pytest.fixture()
+    def signal(self):
+        return Signal(np.random.default_rng(8).standard_normal(MEMORY_N), 250.0)
+
+    @pytest.mark.parametrize("n", [MEMORY_N, 2 * MEMORY_N])
+    def test_csv_write_holds_one_block(self, n, tmp_path, traced_peak):
+        # Formatting every sample at once held about 9 records.
+        sig = Signal(np.random.default_rng(n).standard_normal(n), 250.0)
+        spec = SignalFileSpec(str(tmp_path / "sig.csv"), FORMAT_CSV, 250.0)
+        assert traced_peak(write_signal, sig, spec) <= 100 * CSV_WRITE_BLOCK
+
+    def test_raw_write_copies_nothing(self, signal, tmp_path, traced_peak):
+        spec = SignalFileSpec(str(tmp_path / "sig.f64"), FORMAT_RAW, 250.0)
+        assert traced_peak(write_signal, signal, spec) <= 0.1 * RECORD_BYTES
+
+    def test_raw_read_holds_the_record_once(self, signal, tmp_path, traced_peak):
+        spec = SignalFileSpec(str(tmp_path / "sig.f64"), FORMAT_RAW, 250.0)
+        write_signal(signal, spec)
+        assert traced_peak(read_signal, spec) <= 1.5 * RECORD_BYTES
+
+    @pytest.mark.parametrize(
+        "n", [CSV_WRITE_BLOCK - 1, CSV_WRITE_BLOCK, CSV_WRITE_BLOCK + 1, 2 * CSV_WRITE_BLOCK + 3]
+    )
+    def test_csv_blocks_join_into_per_sample_lines(self, n, tmp_path):
+        values = np.random.default_rng(n).standard_normal(n)
+        p = tmp_path / "sig.csv"
+        write_signal(Signal(values, 250.0), SignalFileSpec(str(p), FORMAT_CSV, 250.0))
+        assert p.read_bytes() == "".join(f"{x:.17g}\n" for x in values.tolist()).encode()
 
 
 class TestWriteReport:

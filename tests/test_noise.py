@@ -159,6 +159,44 @@ def test_synthesis_needs_no_hand_fixed_dc_or_nyquist_bin(spec):
     assert np.array_equal(synthesize(spec).samples, hand_fixed_synthesis(spec))
 
 
+@given(
+    n=st.integers(16, 4097),
+    alpha=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    peak=st.none()
+    | st.tuples(st.floats(10.0, 600.0), st.floats(1.0, 100.0), st.floats(0.0, 100.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_synthesis_bits_equal_the_complex_product(n, alpha, seed, peak):
+    # The whole-record expression ``synthesize`` replaced: a complex
+    # spectrum times the real shape, normalized by max |x|.
+    fs = 2000.0
+    spec = SynthesisSpec(alpha, n, fs, seed=seed, peaks=() if peak is None else (PeakSpec(*peak),))
+    rng = np.random.default_rng(seed)
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+    mult = np.ones_like(freqs[1:])
+    for p in spec.peaks:
+        mult += p.amplitude_factor * np.exp(
+            -((freqs[1:] - p.center_hz) ** 2) / (2.0 * p.width_hz**2)
+        )
+    shape = np.zeros(freqs.size)
+    shape[1:] = freqs[1:] ** (-alpha / 2.0) * np.sqrt(mult)
+    re = rng.standard_normal(freqs.size)
+    im = rng.standard_normal(freqs.size)
+    x = np.fft.irfft((re + 1j * im) * shape, n=n)
+    x -= x.mean()
+    x /= np.max(np.abs(x))
+    assert synthesize(spec).samples.tobytes() == x.tobytes()
+
+
+def test_synthesis_holds_under_three_records(traced_peak):
+    # The whole-record temporaries (re, im, their complex sum and product)
+    # held about 4 records of 8 * n bytes beside the output.
+    n = 200_000
+    spec = SynthesisSpec(2.0, n, 2000.0, seed=3, peaks=(PeakSpec(100.0, 20.0, 0.25),))
+    assert traced_peak(synthesize, spec) <= 3 * 8 * n
+
+
 class TestReferenceRateScale:
     def test_unity_at_reference_rate_and_for_alpha_one(self):
         assert reference_rate_scale(2.5, REFERENCE_RATE_HZ) == 1.0

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from quantband.errors import ValidationError
 from quantband.noise import Signal, SynthesisSpec, synthesize
 from quantband.quantizer import (
+    MAX_BITS,
+    MAX_FULL_SCALE,
     QuantizerConfig,
     error_signal,
     quantize,
@@ -173,6 +175,20 @@ class TestQuantizerConfig:
     def test_bad_range(self, full_scale):
         with pytest.raises(ValidationError):
             QuantizerConfig(bits=8, full_scale=full_scale)
+
+    def test_range_past_max_full_scale_named(self):
+        with pytest.raises(ValidationError, match=r"at most 1e\+100, got 1e\+200"):
+            QuantizerConfig(bits=8, full_scale=1e200)
+
+    @pytest.mark.parametrize("bits", [1, MAX_BITS])
+    def test_floor_and_psd_finite_at_max_full_scale(self, bits):
+        # A full-scale square wave at the Nyquist frequency is the largest
+        # Welch PSD a quantized record can have.
+        cfg = QuantizerConfig(bits=bits, full_scale=MAX_FULL_SCALE)
+        assert np.isfinite(theoretical_noise_floor(cfg, 1e-3))
+        x = np.tile([1.0, -1.0], 50_000) * MAX_FULL_SCALE
+        with np.errstate(all="raise"):
+            assert np.isfinite(welch_psd(quantize(Signal(x, 2000.0), cfg)).power).all()
 
     def test_step(self):
         assert QuantizerConfig(bits=1, full_scale=2.0).step == 1.0

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +7,7 @@ from quantband.errors import ValidationError
 from quantband.noise import Signal
 from quantband.quantizer import QuantizerConfig, error_signal, quantize
 from quantband.spectral import (
+    MIN_FIT_SAMPLES,
     WELCH_BLOCK_SEGMENTS,
     Psd,
     _welch_density,
@@ -200,17 +199,11 @@ class TestWelchStreaming:
         expected = energy.mean() / np.sum(window**2)
         assert power.sum() * fs / segment_len == pytest.approx(expected, rel=1e-12)
 
-    def test_memory_stays_bounded(self):
+    def test_memory_stays_bounded(self, traced_peak):
         # The one-shot engine held the whole (487, 4096) segment stack and
         # its transform at once, about 32 MB at this length.
         sig = Signal(np.random.default_rng(9).standard_normal(10**6), 2000.0)
-        tracemalloc.start()
-        try:
-            welch_psd(sig)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+        assert traced_peak(welch_psd, sig) < 2_000_000
 
 
 class TestRecordPsd:
@@ -227,6 +220,17 @@ class TestRecordPsd:
     def test_too_short_rejected(self):
         with pytest.raises(ValidationError, match="segment length too small"):
             record_psd(Signal(np.zeros(7), 160.0))
+
+    @pytest.mark.parametrize(
+        "n_samples", [MIN_FIT_SAMPLES - 1, MIN_FIT_SAMPLES, MIN_FIT_SAMPLES + 1]
+    )
+    def test_min_fit_samples_is_the_shortest_fittable_record(self, n_samples):
+        sig = Signal(np.random.default_rng(n_samples).standard_normal(n_samples), 100.0)
+        if n_samples < MIN_FIT_SAMPLES:
+            with pytest.raises(ValidationError, match="contains 9 bins"):
+                fit_slope(record_psd(sig))
+        else:
+            fit_slope(record_psd(sig))
 
 
 class TestFitSlope:
