@@ -37,7 +37,7 @@ from .io import (
     write_signal,
 )
 from .noise import PeakSpec, Signal, SynthesisSpec, synthesize
-from .quantizer import QuantizerConfig
+from .quantizer import MAX_FULL_SCALE, QuantizerConfig
 from .scaling import FLOOR_EMPIRICAL, FLOOR_THEORETICAL, find_n_min
 
 EXIT_OK = 0
@@ -117,15 +117,22 @@ def _load_signal(args) -> tuple[Signal, QuantizerConfig]:
     """The input signal of analyze/bands and its quantizer.
 
     Without --range the quantizer range covers the signal exactly (2 *
-    max|x|), matching the synthetic convention (peak 1, R = 2).
+    max|x|), matching the synthetic convention (peak 1, R = 2). A signal
+    whose span 2 * max|x| passes the largest range is rejected whatever
+    the range: its own PSD would overflow.
     """
     fmt = _signal_format(args.infile, args.file_format)
     signal = read_signal(
         SignalFileSpec(args.infile, fmt, args.fs, channel_index=args.channel)
     )
+    peak = float(np.max(np.abs(signal.samples)))
+    if not 2.0 * peak <= MAX_FULL_SCALE:
+        raise ValidationError(
+            f"{args.infile}: peak |sample| {peak:g} is above {MAX_FULL_SCALE / 2:g}, "
+            f"half the largest full-scale range"
+        )
     full_scale = args.range
     if full_scale is None:
-        peak = float(np.max(np.abs(signal.samples)))
         if peak == 0:
             raise ValidationError("signal is identically zero; pass --range explicitly")
         full_scale = 2.0 * peak

@@ -16,10 +16,12 @@ from .noise import (
     Signal,
     SYNTH_FULL_SCALE,
     SynthesisSpec,
+    SynthesisWorkspace,
     reference_rate_scale,
     synthesize,
 )
 from .quantizer import (
+    MAX_FULL_SCALE,
     QuantizerConfig,
     error_signal,
     quantize,
@@ -45,6 +47,7 @@ from .spectral import (
     SpectralFit,
     band_power,
     check_fit_samples,
+    check_psd_samples,
     empirical_noise_floor,
     fit_slope,
     record_psd,
@@ -92,11 +95,24 @@ class ValidationConfig:
         object.__setattr__(self, "peaks", tuple(self.peaks))
         if self.floor_method not in (FLOOR_THEORETICAL, FLOOR_EMPIRICAL):
             raise ValidationError(f"unknown floor method {self.floor_method!r}")
-        # A bad rate, length or peak fails here, before any trial is synthesized.
+        # A bad alpha, rate, length, peak or level fails here, before any
+        # trial is synthesized.
+        scaling_ratio(self.alpha)
         check_positive(self.sample_rate_hz, "sample rate")
         check_fit_samples(self.n_samples)
         for peak in self.peaks:
             peak.validate(self.sample_rate_hz)
+        # Each trial's record spans 2 * reference_rate_scale; past the
+        # largest range a quantizer takes, its PSD overflows.
+        try:
+            span = 2.0 * reference_rate_scale(self.alpha, self.sample_rate_hz)
+        except OverflowError:
+            span = float("inf")
+        if not span <= MAX_FULL_SCALE:
+            raise ValidationError(
+                f"alpha={self.alpha} at f_s={self.sample_rate_hz} Hz scales each record "
+                f"to a span of {span:g}, above the largest full-scale range {MAX_FULL_SCALE:g}"
+            )
 
     @property
     def bits(self) -> list[int]:
@@ -152,7 +168,7 @@ def _fitted_cutoff(fit: SpectralFit, sample_rate_hz: float, cfg: QuantizerConfig
     return predicted_cutoff(fit.alpha_hat, fit.s0_hat, sample_rate_hz, cfg).f_c_hz
 
 
-def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> np.ndarray:
+def _trial_cutoffs(cfg: ValidationConfig, trial: int, workspace: SynthesisWorkspace) -> np.ndarray:
     """Detected sub-Nyquist cutoff at each of ``cfg.bits`` for one trial, NaN where dropped.
 
     The signal level is fixed in physical units, not per signal: the
@@ -168,6 +184,8 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> np.ndarray:
     reaches the end of the grid, when the closed-form cutoff predicted
     from the trial's fitted slope and intercept exceeds f_s/2, or when
     the floor buries the whole PSD.
+
+    The trial synthesizes into ``workspace``'s record and scales it there.
     """
     nyquist = cfg.sample_rate_hz / 2.0
     spec = SynthesisSpec(
@@ -177,8 +195,9 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int) -> np.ndarray:
         seed=cfg.master_seed + trial,
         peaks=cfg.peaks,
     )
-    scale = reference_rate_scale(cfg.alpha, cfg.sample_rate_hz)
-    signal = Signal(synthesize(spec).samples * scale, cfg.sample_rate_hz)
+    samples = synthesize(spec, workspace).samples
+    samples *= reference_rate_scale(cfg.alpha, cfg.sample_rate_hz)
+    signal = Signal(samples, cfg.sample_rate_hz)
     psd = record_psd(signal)
     fit = fit_slope(psd)
 
@@ -208,9 +227,14 @@ def run_validation(cfg: ValidationConfig) -> ValidationReport:
     comes from the quantized signal's own PSD) into one (trial, bits)
     array, NaN where the trial dropped the depth. The ratio of consecutive
     depths counts only in the trials that kept both.
+
+    Every trial synthesizes into one workspace, built once per run.
     """
     predicted = scaling_ratio(cfg.alpha)
-    f_c = np.array([_trial_cutoffs(cfg, i) for i in range(cfg.trials)])
+    workspace = SynthesisWorkspace(
+        SynthesisSpec(cfg.alpha, cfg.n_samples, cfg.sample_rate_hz, peaks=cfg.peaks)
+    )
+    f_c = np.array([_trial_cutoffs(cfg, i, workspace) for i in range(cfg.trials)])
     per_bit = [
         BitCutoffStats(
             bits=bits,
@@ -426,6 +450,7 @@ def run_band_power(
     bands: list[tuple[str, float, float]] | None = None,
 ) -> BandPowerReport:
     """Quantized-to-original band power ratios from Welch PSDs."""
+    check_psd_samples(signal.n_samples)
     if bands is None:
         bands = standard_bands(signal.nyquist_hz)
     for _, f_low, f_high in bands:

@@ -14,7 +14,7 @@ presets do, scale a synthesis by ``reference_rate_scale``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,35 +113,63 @@ def _peak_multiplier(spec: SynthesisSpec, freqs: np.ndarray) -> np.ndarray:
     return mult
 
 
-def synthesize(spec: SynthesisSpec) -> Signal:
+def _spectral_shape(spec: SynthesisSpec) -> np.ndarray:
+    """Amplitude of each rfft bin: 0 at DC, f^(-alpha/2) times sqrt(peak multiplier) above."""
+    freqs = np.fft.rfftfreq(spec.n_samples, d=1.0 / spec.sample_rate_hz)
+    shape = np.zeros(freqs.size)
+    shape[1:] = freqs[1:] ** (-spec.alpha / 2.0)
+    if spec.peaks:
+        shape[1:] *= np.sqrt(_peak_multiplier(spec, freqs[1:]))
+    return shape
+
+
+class SynthesisWorkspace:
+    """Buffers shared by every synthesis of one spec with any seed.
+
+    It holds the spectral shape, one complex spectrum and one record, so a
+    run of many seeds builds the shape once and allocates no record-sized
+    array per synthesis. ``synthesize(spec, workspace)`` overwrites the
+    record, which the signal it returns aliases.
+    """
+
+    def __init__(self, spec: SynthesisSpec):
+        self.spec = spec
+        self.shape = _spectral_shape(spec)
+        self.spectrum = np.empty(self.shape.size, dtype=np.complex128)
+        self.record = np.empty(spec.n_samples)
+
+
+def synthesize(spec: SynthesisSpec, workspace: SynthesisWorkspace | None = None) -> Signal:
     """Generate a 1/f^alpha Gaussian signal from a synthesis spec.
 
     The same spec (including seed) always yields a bit-identical signal.
     The output is zero-mean with max |sample| = 1 at any sample rate; see
     ``reference_rate_scale`` for a level fixed in physical units.
 
-    Each spectral half is written straight into the complex spectrum, and
-    every array is dropped once used, so at most the record and a spectrum
-    are held at once. The bits are those of ``(re + 1j * im) * shape``
-    normalized by ``max(abs(x))``: a real factor scales each half exactly.
+    Each spectral half is written straight into the complex spectrum. The
+    bits are those of ``(re + 1j * im) * shape`` normalized by
+    ``max(abs(x))``: a real factor scales each half exactly. Without a
+    workspace every array is dropped once used, so at most the record and
+    a spectrum are held at once. With a ``workspace`` built for the spec
+    at any seed, the draws, the spectrum and the record are its buffers,
+    and the returned samples alias ``workspace.record`` until the next
+    synthesis into it; the bits are the same.
     """
-    n = spec.n_samples
     rng = np.random.default_rng(spec.seed)
+    if workspace is None:
+        shape = _spectral_shape(spec)
+        spectrum = np.empty(shape.size, dtype=np.complex128)
+        record = noise = None
+    else:
+        if replace(spec, seed=workspace.spec.seed) != workspace.spec:
+            raise ValidationError(f"workspace built for {workspace.spec} cannot synthesize {spec}")
+        shape, spectrum, record = workspace.shape, workspace.spectrum, workspace.record
+        noise = record[: shape.size]
+    for half in (spectrum.real, spectrum.imag):
+        np.multiply(rng.standard_normal(shape.size, out=noise), shape, out=half)
+    del shape, noise
 
-    freqs = np.fft.rfftfreq(n, d=1.0 / spec.sample_rate_hz)
-    m = freqs.size
-    shape = np.zeros(m)
-    shape[1:] = freqs[1:] ** (-spec.alpha / 2.0)
-    if spec.peaks:
-        shape[1:] *= np.sqrt(_peak_multiplier(spec, freqs[1:]))
-    del freqs
-
-    spectrum = np.empty(m, dtype=np.complex128)
-    np.multiply(rng.standard_normal(m), shape, out=spectrum.real)
-    np.multiply(rng.standard_normal(m), shape, out=spectrum.imag)
-    del shape
-
-    samples = np.fft.irfft(spectrum, n=n)
+    samples = np.fft.irfft(spectrum, n=spec.n_samples, out=record)
     del spectrum
     samples -= samples.mean()
     samples /= max(samples.max(), -samples.min())

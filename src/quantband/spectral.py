@@ -11,6 +11,8 @@ from .noise import Signal
 
 DEFAULT_SEGMENT_LEN = 4096
 DEFAULT_OVERLAP = 0.5
+# Shortest Welch segment, and so the shortest record ``record_psd`` estimates.
+MIN_SEGMENT_LEN = 8
 MIN_FIT_BINS = 10
 # Shortest record the default fit band can be fitted on. On an L-sample
 # segment the band runs from bin 10 (= MIN_FIT_BINS) to bin L/4, which
@@ -122,7 +124,7 @@ def welch_psd(
         raise ValidationError(
             f"segment length {segment_len} exceeds signal length {signal.n_samples}"
         )
-    if segment_len < 8:
+    if segment_len < MIN_SEGMENT_LEN:
         raise ValidationError(f"segment length too small: {segment_len}")
     if not 0 <= overlap_fraction < 1:
         raise ValidationError(f"overlap fraction must be in [0, 1), got {overlap_fraction}")
@@ -145,13 +147,21 @@ def record_psd(signal: Signal) -> Psd:
     return welch_psd(signal, min(DEFAULT_SEGMENT_LEN, signal.n_samples // 2 * 2))
 
 
+def _check_record_samples(n_samples: int, minimum: int, purpose: str) -> None:
+    if n_samples < minimum:
+        raise ValidationError(
+            f"record of {n_samples} samples is too short for {purpose}; need at least {minimum}"
+        )
+
+
+def check_psd_samples(n_samples: int) -> None:
+    """Raise ValidationError unless ``record_psd`` can estimate a record of ``n_samples``."""
+    _check_record_samples(n_samples, MIN_SEGMENT_LEN, "a Welch PSD")
+
+
 def check_fit_samples(n_samples: int) -> None:
     """Raise ValidationError unless a record of ``n_samples`` is long enough to fit."""
-    if n_samples < MIN_FIT_SAMPLES:
-        raise ValidationError(
-            f"record of {n_samples} samples is too short for a spectral fit; "
-            f"need at least {MIN_FIT_SAMPLES}"
-        )
+    _check_record_samples(n_samples, MIN_FIT_SAMPLES, "a spectral fit")
 
 
 def default_fit_band(psd: Psd) -> tuple[float, float]:

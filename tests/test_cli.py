@@ -393,7 +393,8 @@ def test_record_too_short_to_fit_exits_two_naming_its_length(
     for module in (quantband.experiments, quantband.scaling):
         synthesize = module.synthesize
         monkeypatch.setattr(
-            module, "synthesize", lambda spec, f=synthesize: calls.append(spec) or f(spec)
+            module, "synthesize",
+            lambda spec, *rest, f=synthesize: calls.append(spec) or f(spec, *rest),
         )
     if argv[0] == "analyze":
         sig = tmp_path / "short.csv"
@@ -420,7 +421,8 @@ def test_bad_peak_fails_before_any_trial(tmp_path, capsys, monkeypatch):
     calls = []
     synthesize = quantband.experiments.synthesize
     monkeypatch.setattr(
-        quantband.experiments, "synthesize", lambda spec: calls.append(spec) or synthesize(spec)
+        quantband.experiments, "synthesize",
+        lambda spec, *rest: calls.append(spec) or synthesize(spec, *rest),
     )
     code, _, err = run(capsys, "peaks", "--peak", "999:10:1", "--out", str(tmp_path / "r.json"))
     assert code == 2
@@ -446,13 +448,73 @@ def test_bit_range_past_max_bits_fails_before_any_trial(
     for module in (quantband.experiments, quantband.scaling):
         synthesize = module.synthesize
         monkeypatch.setattr(
-            module, "synthesize", lambda spec, f=synthesize: calls.append(spec) or f(spec)
+            module, "synthesize",
+            lambda spec, *rest, f=synthesize: calls.append(spec) or f(spec, *rest),
         )
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err == f"error: invalid bit range {bit_range}\n"
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "alpha, fs, span", [("300", "0.001", "inf"), ("60", "0.01", "4.80192e+156")]
+)
+def test_record_span_past_max_full_scale_fails_before_any_trial(
+    alpha, fs, span, tmp_path, capsys, monkeypatch
+):
+    # reference_rate_scale overflowed (alpha 300), or the scaled record's
+    # PSD did (alpha 60), inside the first trial.
+    calls = []
+    synthesize = quantband.experiments.synthesize
+    monkeypatch.setattr(
+        quantband.experiments, "synthesize",
+        lambda spec, *rest: calls.append(spec) or synthesize(spec, *rest),
+    )
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(
+            capsys, "validate", "--alpha", alpha, "--fs", fs, "--n", "1000",
+            "--bits", "4:5", "--trials", "1",
+        )
+    assert (code, stdout) == (2, "")
+    assert err == (
+        f"error: alpha={float(alpha)} at f_s={float(fs)} Hz scales each record to a span "
+        f"of {span}, above the largest full-scale range 1e+100\n"
+    )
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "bands"])
+@pytest.mark.parametrize("range_flag", [[], ["--range", "2"]])
+def test_signal_level_past_max_full_scale_exits_two_naming_its_peak(
+    command, range_flag, tmp_path, capsys
+):
+    # The PSD of a 1e160-level signal overflowed whatever the range, and
+    # without --range the error named a range the user never gave.
+    sig = tmp_path / "huge.csv"
+    sig.write_text("".join(f"{math.sin(i) * 1e160!r}\n" for i in range(4096)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(
+            capsys, command, "--in", str(sig), "--fs", "2000", "--bits", "8", *range_flag
+        )
+    peak = max(abs(math.sin(i) * 1e160) for i in range(4096))
+    assert (code, stdout) == (2, "")
+    assert err == (
+        f"error: {sig}: peak |sample| {peak:g} is above 5e+99, half the largest full-scale range\n"
+    )
+
+
+def test_bands_on_a_record_under_one_segment_names_its_length(tmp_path, capsys):
+    sig = tmp_path / "seven.csv"
+    sig.write_text("".join(f"{math.sin(i)}\n" for i in range(7)))
+    code, stdout, err = run(capsys, "bands", "--in", str(sig), "--fs", "100", "--bits", "8")
+    assert (code, stdout, err) == (
+        2, "", "error: record of 7 samples is too short for a Welch PSD; need at least 8\n"
+    )
 
 
 class _Resolved(Exception):

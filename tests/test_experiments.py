@@ -51,6 +51,15 @@ class TestRunValidation:
             ratio = fast_bit.mean_f_c_hz / slow_bit.mean_f_c_hz
             assert ratio == pytest.approx(10 ** (1 / SMALL.alpha), rel=0.05)
 
+    def test_traced_peak_does_not_grow_with_trials(self, traced_peak):
+        # Every trial synthesizes into the run's one workspace, so 8 trials
+        # hold what 2 do, give or take their cutoff rows. The first run
+        # pays the FFT's one-time set-up.
+        cfg = replace(SMALL, n_samples=50_000)
+        traced_peak(run_validation, cfg)
+        two, eight = (traced_peak(run_validation, replace(cfg, trials=t)) for t in (2, 8))
+        assert eight - two < 8 * cfg.n_samples // 10
+
     def test_all_bits_beyond_nyquist_raises(self):
         cfg = replace(SMALL, bit_range=(11, 12))
         with pytest.raises(NoMeasurableBandError):

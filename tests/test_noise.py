@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from quantband.noise import (
     PeakSpec,
     Signal,
     SynthesisSpec,
+    SynthesisWorkspace,
     reference_rate_scale,
     synthesize,
 )
@@ -187,6 +190,32 @@ def test_synthesis_bits_equal_the_complex_product(n, alpha, seed, peak):
     x -= x.mean()
     x /= np.max(np.abs(x))
     assert synthesize(spec).samples.tobytes() == x.tobytes()
+
+
+@given(
+    n=st.integers(16, 4097),
+    alpha=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 4),
+    peak=st.none()
+    | st.tuples(st.floats(10.0, 600.0), st.floats(1.0, 100.0), st.floats(0.0, 100.0)),
+)
+@settings(max_examples=100, deadline=None)
+def test_workspace_synthesis_equals_one_shot(n, alpha, seed, peak):
+    # Consecutive seeds through one workspace: a buffer one synthesis left
+    # stale would show in the next one's bytes.
+    spec = SynthesisSpec(alpha, n, 2000.0, peaks=() if peak is None else (PeakSpec(*peak),))
+    workspace = SynthesisWorkspace(spec)
+    for trial in range(seed, seed + 3):
+        trial_spec = replace(spec, seed=trial)
+        samples = synthesize(trial_spec, workspace).samples
+        assert np.shares_memory(samples, workspace.record)
+        assert samples.tobytes() == synthesize(trial_spec).samples.tobytes()
+
+
+def test_workspace_rejects_another_spec():
+    workspace = SynthesisWorkspace(SynthesisSpec(2.0, 4096, 2000.0))
+    with pytest.raises(ValidationError, match="workspace built for"):
+        synthesize(SynthesisSpec(2.0, 4097, 2000.0), workspace)
 
 
 def test_synthesis_holds_under_three_records(traced_peak):
