@@ -37,7 +37,7 @@ from .io import (
     write_signal,
 )
 from .noise import PeakSpec, Signal, SynthesisSpec, synthesize
-from .quantizer import MAX_FULL_SCALE, QuantizerConfig
+from .quantizer import MAX_FULL_SCALE, SIGNAL_RATE_LIMITS_HZ, QuantizerConfig
 from .scaling import FLOOR_EMPIRICAL, FLOOR_THEORETICAL, find_n_min
 
 EXIT_OK = 0
@@ -119,12 +119,15 @@ def _load_signal(args) -> tuple[Signal, QuantizerConfig]:
     Without --range the quantizer range covers the signal exactly (2 *
     max|x|), matching the synthetic convention (peak 1, R = 2). A signal
     whose span 2 * max|x| passes the largest range is rejected whatever
-    the range: its own PSD would overflow.
+    the range: its own PSD would overflow. So is a rate outside
+    SIGNAL_RATE_LIMITS_HZ.
     """
     fmt = _signal_format(args.infile, args.file_format)
-    signal = read_signal(
-        SignalFileSpec(args.infile, fmt, args.fs, channel_index=args.channel)
-    )
+    spec = SignalFileSpec(args.infile, fmt, args.fs, channel_index=args.channel)
+    lo, hi = SIGNAL_RATE_LIMITS_HZ
+    if not lo <= args.fs <= hi:
+        raise ValidationError(f"sample rate {args.fs:g} Hz is outside [{lo:g}, {hi:g}] Hz")
+    signal = read_signal(spec)
     peak = float(np.max(np.abs(signal.samples)))
     if not 2.0 * peak <= MAX_FULL_SCALE:
         raise ValidationError(
@@ -289,7 +292,6 @@ def _add_output(
 def _add_grid(parser: argparse.ArgumentParser, **alpha) -> None:
     # No defaults: a flag the user does not give keeps the base config's value.
     parser.add_argument("--alpha", type=float, **alpha)
-    parser.add_argument("--fs", type=float, help="sample rate in Hz")
     parser.add_argument("--n", type=int, help="samples per trial")
     parser.add_argument("--bits", help="bit range lo:hi")
     parser.add_argument("--trials", type=int)
@@ -338,8 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--preset", help=f"base config, one of {' | '.join(presets)}; flags override it"
         )
         _add_grid(q, **alpha)
-        # Validation runs also choose their noise floor.
+        # Validation runs also choose their sample rate, which moves their
+        # cutoffs, and their noise floor.
         if presets is VALIDATION_PRESETS:
+            q.add_argument("--fs", type=float, help="sample rate in Hz")
             q.add_argument("--floor", choices=[FLOOR_THEORETICAL, FLOOR_EMPIRICAL])
         _add_output(q)
         q.set_defaults(fn=fn)

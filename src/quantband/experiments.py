@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import NoMeasurableBandError, NoUsableBandError, ValidationError, check_positive
 from .noise import (
+    REFERENCE_RATE_HZ,
     PeakSpec,
     Signal,
     SYNTH_FULL_SCALE,
@@ -32,7 +33,6 @@ from .scaling import (
     FLOOR_EMPIRICAL,
     FLOOR_THEORETICAL,
     NOISE_COLOR_N_SAMPLES,
-    NOISE_COLOR_SAMPLE_RATE_HZ,
     CutoffEstimate,
     NoiseColorCell,
     check_grid,
@@ -302,7 +302,6 @@ def run_noise_color_sweep(
     trials: int,
     master_seed: int,
     n_samples: int,
-    sample_rate_hz: float,
 ) -> NoiseColorSweepReport:
     """Mean quantization-noise slope over an (alpha, bits) grid.
 
@@ -312,7 +311,7 @@ def run_noise_color_sweep(
     cells = [
         cell
         for alpha in alphas
-        for cell in noise_color_cells(alpha, bit_range, trials, master_seed, n_samples, sample_rate_hz)
+        for cell in noise_color_cells(alpha, bit_range, trials, master_seed, n_samples)
     ]
     n_min = {a: next((c.bits for c in cells if c.alpha == a and c.is_white), None) for a in alphas}
     return NoiseColorSweepReport(
@@ -320,7 +319,7 @@ def run_noise_color_sweep(
         bit_range=(int(bit_range[0]), int(bit_range[1])),
         trials=trials,
         n_samples=n_samples,
-        sample_rate_hz=sample_rate_hz,
+        sample_rate_hz=REFERENCE_RATE_HZ,
         master_seed=master_seed,
         cells=cells,
         n_min=n_min,
@@ -567,7 +566,6 @@ NOISE_COLOR_DEFAULTS = {
     "bit_range": (4, 12),
     "trials": 20,
     "n_samples": NOISE_COLOR_N_SAMPLES,
-    "sample_rate_hz": NOISE_COLOR_SAMPLE_RATE_HZ,
 }
 
 # Noise-color sweep presets: table 2 is alpha = 2 over bits 4-8.

@@ -24,6 +24,7 @@ from .errors import (
     EmptySignalError,
     MalformedSampleError,
     NonFiniteSampleError,
+    SignalIoError,
     UnreadableFileError,
     ValidationError,
     check_positive,
@@ -32,10 +33,8 @@ from .noise import Signal
 
 FORMAT_CSV = "csv"
 FORMAT_RAW = "raw_f64_le"
-# Samples formatted per write by the CSV writer, and characters per read
-# of the CSV reader's line-break scan: each bounds that step's memory.
+# Samples formatted per write by the CSV writer: it bounds that step's memory.
 CSV_WRITE_BLOCK = 4096
-CSV_SCAN_CHARS = 1 << 16
 
 SCHEMA_VERSION = 2
 
@@ -79,13 +78,6 @@ def _parse_csv_row(line: str, channel: int, row: int, path: str) -> float:
     return value
 
 
-# str.splitlines() also ends a line at these; a text file's line iterator,
-# and so np.loadtxt, does not. Text-mode reads have already turned "\r\n"
-# and a lone "\r" into "\n", so in text without these the two agree on
-# every line.
-_SPLITLINES_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
-
-
 def _data_rows(lines, spec: SignalFileSpec):
     """Yield ``(file line, text)`` for each data row of numbered ``lines``.
 
@@ -106,17 +98,15 @@ def _data_rows(lines, spec: SignalFileSpec):
     yield from rows
 
 
-def _load_csv_fast(fh, spec: SignalFileSpec) -> np.ndarray | None:
-    """Every data row of ``fh`` in one ``np.loadtxt`` call.
+def _csv_samples(fh, spec: SignalFileSpec) -> np.ndarray:
+    """Every data row's sample of the open text file ``fh``.
 
-    Returns None where only the row parser can give the answer: a line
-    split that might differ from ``str.splitlines()``, a row ``loadtxt``
-    rejects, or a non-finite sample.
+    Text mode ends a line at "\n", "\r\n" or "\r" and nowhere else, and
+    ``np.loadtxt`` and the row parser both read the lines ``fh`` yields.
+    Where ``loadtxt`` rejects a row or reads a non-finite sample, the row
+    parser reads the same lines again, one at a time, and names the first
+    bad row's file line.
     """
-    while chunk := fh.read(CSV_SCAN_CHARS):
-        if any(c in chunk for c in _SPLITLINES_ONLY_BREAKS):
-            return None
-    fh.seek(0)
     first_line, _ = next(_data_rows(enumerate(fh, start=1), spec))
     fh.seek(0)
     try:
@@ -129,18 +119,28 @@ def _load_csv_fast(fh, spec: SignalFileSpec) -> np.ndarray | None:
             skiprows=first_line - 1,
             ndmin=1,
         )
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
+        pass
+    fh.seek(0)
+    rows = _data_rows(enumerate(fh, start=1), spec)
+    return np.fromiter(
+        (_parse_csv_row(line, spec.channel_index, n, spec.path) for n, line in rows),
+        dtype=np.float64,
+    )
 
 
 def _read_csv_samples(spec: SignalFileSpec) -> np.ndarray:
     try:
         with Path(spec.path).open() as fh:
-            values = _load_csv_fast(fh, spec)
-            if values is None:
-                fh.seek(0)
-                text = fh.read()
+            try:
+                return _csv_samples(fh, spec)
+            except SignalIoError:
+                # A file that does not decode is unreadable, whatever its rows hold.
+                for _ in fh:
+                    pass
+                raise
     except OSError as exc:
         raise UnreadableFileError(str(exc), path=spec.path) from exc
     except UnicodeDecodeError:
@@ -151,15 +151,6 @@ def _read_csv_samples(spec: SignalFileSpec) -> np.ndarray:
         except UnicodeDecodeError as exc:
             raise UnreadableFileError(f"not a text file: {exc}", path=spec.path) from exc
         raise
-    if values is None:
-        # Row by row: the same values where every row parses, and the
-        # error names the first bad row's file line where one does not.
-        rows = _data_rows(enumerate(text.splitlines(), start=1), spec)
-        values = np.asarray(
-            [_parse_csv_row(line, spec.channel_index, n, spec.path) for n, line in rows],
-            dtype=np.float64,
-        )
-    return values
 
 
 def _read_raw_samples(spec: SignalFileSpec) -> np.ndarray:

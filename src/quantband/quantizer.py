@@ -19,6 +19,12 @@ MAX_BITS = 24
 # Largest full-scale range: the squares that the white floor and every
 # Welch PSD of a quantized record form stay finite below it.
 MAX_FULL_SCALE = 1e100
+# Sample rates a signal file may be read at. Scaling the rate by c scales
+# a record's frequencies by c, its densities by 1 / c and its fitted S_0,
+# about span^2 * (f_s / n)^(alpha - 1), by c^(alpha - 1). With spans up to
+# MAX_FULL_SCALE, rates from 1e-30 to 1e30 keep S_0 below 1e290 for fitted
+# alphas from -1 to 4 and records of 76 to 10^8 samples.
+SIGNAL_RATE_LIMITS_HZ = (1e-30, 1e30)
 
 
 @dataclass(frozen=True)

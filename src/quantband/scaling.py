@@ -28,9 +28,8 @@ MIN_RUN = 5
 CROSSING_FIT_HALF_WIDTH = 2.0**0.25
 # |slope| below this counts as white quantization noise.
 WHITE_SLOPE_THRESHOLD = 0.1
-# Record of one noise-color trial: 10^5 samples at the reference rate.
+# Record of one noise-color trial: 10^5 samples.
 NOISE_COLOR_N_SAMPLES = 100_000
-NOISE_COLOR_SAMPLE_RATE_HZ = REFERENCE_RATE_HZ
 
 FLOOR_THEORETICAL = "theoretical"
 FLOOR_EMPIRICAL = "empirical"
@@ -186,18 +185,19 @@ def noise_color_cells(
     trials: int,
     master_seed: int,
     n_samples: int,
-    sample_rate_hz: float,
 ) -> Iterator[NoiseColorCell]:
     """Noise-color cells of one alpha, one per bit depth in increasing order.
 
     Trial i (seed master_seed + i) is synthesized once and quantized at
     every depth; a cell is white when its mean slope ``is_white``.
+    Synthesis peak-normalizes, so the sample rate changes no sample and
+    no slope: every trial runs at REFERENCE_RATE_HZ.
     Cells are computed lazily, so a caller can stop at the first white one.
     """
     n_lo, n_hi = check_grid(bit_range, trials)
     check_fit_samples(n_samples)
     signals = [
-        synthesize(SynthesisSpec(alpha, n_samples, sample_rate_hz, seed=master_seed + i))
+        synthesize(SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ, seed=master_seed + i))
         for i in range(trials)
     ]
     for bits in range(n_lo, n_hi + 1):
@@ -213,7 +213,6 @@ def find_n_min(
     trials: int,
     master_seed: int,
     n_samples: int = NOISE_COLOR_N_SAMPLES,
-    sample_rate_hz: float = NOISE_COLOR_SAMPLE_RATE_HZ,
 ) -> int | None:
     """Smallest bit depth in range whose mean noise slope is white.
 
@@ -221,5 +220,5 @@ def find_n_min(
     when no bit depth in the range qualifies; depths past the first white
     one are never computed.
     """
-    cells = noise_color_cells(alpha, bit_range, trials, master_seed, n_samples, sample_rate_hz)
+    cells = noise_color_cells(alpha, bit_range, trials, master_seed, n_samples)
     return next((cell.bits for cell in cells if cell.is_white), None)

@@ -47,8 +47,7 @@ def empirical_reports():
 @pytest.fixture(scope="session")
 def table2_sweep():
     return run_noise_color_sweep(
-        [2.0], (4, 8), trials=20, n_samples=100_000,
-        sample_rate_hz=2000.0, master_seed=DEFAULT_SEED,
+        [2.0], (4, 8), trials=20, n_samples=100_000, master_seed=DEFAULT_SEED,
     )
 
 

@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quantband.cli
@@ -230,7 +231,7 @@ class TestExperimentCommands:
         out = tmp_path / "nc.csv"
         code, stdout, _ = run(
             capsys, "noise-color", "--alpha", "1", "--bits", "4:5", "--trials", "2",
-            "--n", "30000", "--fs", "2000", "--out", str(out), "--format", "csv",
+            "--n", "30000", "--out", str(out), "--format", "csv",
         )
         assert code == 0
         assert "N_min" in stdout
@@ -316,6 +317,15 @@ class TestExperimentCommands:
         assert "trials" in err
         assert stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["noise-color", "nmin"])
+    def test_noise_grid_takes_no_sample_rate(self, command, capsys):
+        # Synthesis peak-normalizes, so a noise-color trial has the same
+        # samples, and its error the same slope, at every rate.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--alpha", "2", "--fs", "2000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fs 2000" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, section, expected",
@@ -488,6 +498,33 @@ def test_record_span_past_max_full_scale_fails_before_any_trial(
 
 
 @pytest.mark.parametrize("command", ["analyze", "bands"])
+@pytest.mark.parametrize(
+    "fs, expected",
+    [("1e-320", 2), ("1e-310", 2), ("1e-305", 2), ("1e-300", 2), ("1e300", 2), ("1e308", 2),
+     ("1e-30", 0), ("1e30", 0)],
+)
+def test_signal_rate_outside_the_limits_exits_two_naming_it(
+    command, fs, expected, tmp_path, capsys
+):
+    # A tiny rate overflowed S_0 into a traceback, or leaked a numpy
+    # warning; the limits themselves still run.
+    sig = tmp_path / "normals.csv"
+    values = np.random.default_rng(0).standard_normal(4096)
+    sig.write_text("".join(f"{x!r}\n" for x in values.tolist()))
+    out = tmp_path / "r.json"
+    band = ["--band", f"b:{float(fs) / 100!r}:{float(fs) / 4!r}"] if command == "bands" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(
+            capsys, command, "--in", str(sig), "--fs", fs, "--bits", "8", *band, "--out", str(out)
+        )
+    assert code == expected, err
+    if expected == 2:
+        assert err == f"error: sample rate {float(fs):g} Hz is outside [1e-30, 1e+30] Hz\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "bands"])
 @pytest.mark.parametrize("range_flag", [[], ["--range", "2"]])
 def test_signal_level_past_max_full_scale_exits_two_naming_its_peak(
     command, range_flag, tmp_path, capsys
@@ -527,8 +564,7 @@ VALIDATION_DEFAULTS = ValidationConfig(
     alpha=2.0, sample_rate_hz=20_000.0, n_samples=100_000, bit_range=(7, 12), trials=20
 )
 NOISE_GRID_DEFAULTS = {
-    "bit_range": (4, 12), "trials": 20, "n_samples": 100_000, "sample_rate_hz": 2000.0,
-    "master_seed": 1234,
+    "bit_range": (4, 12), "trials": 20, "n_samples": 100_000, "master_seed": 1234,
 }
 
 

@@ -73,7 +73,7 @@ class TestRunValidation:
         "make",
         [
             lambda bit_range, trials: ValidationConfig(2.0, 2000.0, 30_000, bit_range, trials),
-            lambda bit_range, trials: find_n_min(2.0, bit_range, trials, 0, 30_000, 2000.0),
+            lambda bit_range, trials: find_n_min(2.0, bit_range, trials, 0, 30_000),
         ],
         ids=["config", "n_min"],
     )
@@ -189,7 +189,7 @@ class TestRunPeakRobustness:
 class TestRunNoiseColorSweep:
     def test_grid_and_n_min(self):
         rep = run_noise_color_sweep(
-            [0.0, 1.0], (4, 5), trials=2, n_samples=30_000, sample_rate_hz=2000.0, master_seed=5
+            [0.0, 1.0], (4, 5), trials=2, n_samples=30_000, master_seed=5
         )
         assert len(rep.cells) == 4
         assert rep.n_min[0.0] == 4  # white input is white at any depth
@@ -198,21 +198,20 @@ class TestRunNoiseColorSweep:
     def test_deterministic(self):
         kwargs = dict(
             alphas=[1.0], bit_range=(4, 4), trials=2,
-            n_samples=30_000, sample_rate_hz=2000.0, master_seed=5,
+            n_samples=30_000, master_seed=5,
         )
         assert run_noise_color_sweep(**kwargs) == run_noise_color_sweep(**kwargs)
 
     @pytest.mark.parametrize("alpha", [2.0, 2.5])
     def test_n_min_matches_find_n_min(self, alpha):
         # At these settings alpha 2 turns white at 7 bits; alpha 2.5 never does.
-        r, trials, n, fs, seed = (4, 8), 2, 30_000, 2000.0, 5
-        sweep = run_noise_color_sweep([alpha], r, trials, seed, n, fs)
-        assert find_n_min(alpha, r, trials, seed, n, fs) == sweep.n_min[alpha]
+        r, trials, n, seed = (4, 8), 2, 30_000, 5
+        sweep = run_noise_color_sweep([alpha], r, trials, seed, n)
+        assert find_n_min(alpha, r, trials, seed, n) == sweep.n_min[alpha]
 
     def test_defaults_are_the_cli_base(self):
         params = inspect.signature(find_n_min).parameters
-        for name in ("n_samples", "sample_rate_hz"):
-            assert params[name].default == NOISE_COLOR_DEFAULTS[name]
+        assert params["n_samples"].default == NOISE_COLOR_DEFAULTS["n_samples"]
 
 
 class TestRunBandPower:

@@ -45,10 +45,11 @@ def row_parser_samples(spec: SignalFileSpec) -> np.ndarray:
     """What ``read_signal`` gives for a CSV file, parsed one row at a time.
 
     This is the reader from before the ``np.loadtxt`` fast path, with
-    error locations counted as file lines.
+    error locations counted as the lines of the open text file: a line
+    ends at "\n", "\r\n" or "\r" only.
     """
-    text = Path(spec.path).read_text()
-    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    with Path(spec.path).open() as fh:
+        lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise EmptySignalError("file contains no samples", path=spec.path)
 
@@ -86,7 +87,7 @@ def row_parser_samples(spec: SignalFileSpec) -> np.ndarray:
 
 @st.composite
 def csv_text(draw):
-    """CSV text: well-formed rows, or rows and line breaks only the row parser reads right."""
+    """CSV text: well-formed rows, or odd fields and characters that other line rules split at."""
     number = st.one_of(
         st.floats(width=64).map(lambda x: f"{x:.17g}"),
         st.floats(width=64).map(repr),
@@ -164,6 +165,31 @@ class TestReadCsv:
             read_signal(SignalFileSpec(str(p), FORMAT_CSV, 100.0))
 
     @pytest.mark.parametrize(
+        "text",
+        [b"1.0\nabc\n" + b"1.0\n" * 30_000 + b"\xff\n", b"nan\n" + b"1.0\n" * 30_000 + b"\xff\n"],
+        ids=["bad-row", "non-finite-first-row"],
+    )
+    def test_undecodable_byte_outranks_an_earlier_bad_row(self, text, tmp_path):
+        p = tmp_path / "sig.csv"
+        p.write_bytes(text)
+        with pytest.raises(UnreadableFileError, match="not a text file"):
+            read_signal(SignalFileSpec(str(p), FORMAT_CSV, 100.0))
+
+    def test_form_feed_inside_a_row_is_that_rows_error(self, tmp_path):
+        # Only "\n", "\r\n" and "\r" end a line, so the row is the line an
+        # editor shows.
+        p = tmp_path / "sig.csv"
+        p.write_text("1.0\n2.0\f3.0\n4.0\n")
+        with pytest.raises(MalformedSampleError) as info:
+            read_signal(SignalFileSpec(str(p), FORMAT_CSV, 100.0))
+        assert str(info.value) == f"{p}: could not parse '2.0\\x0c3.0' as a number (row 2)"
+
+    def test_form_feed_in_the_first_row_makes_it_the_header(self, tmp_path):
+        p = tmp_path / "sig.csv"
+        p.write_text("1.0\f2.0\n3.0\n4.0\n")
+        assert read_signal(SignalFileSpec(str(p), FORMAT_CSV, 100.0)).samples.tolist() == [3.0, 4.0]
+
+    @pytest.mark.parametrize(
         "text, error, location",
         [
             ("value\n\n1.0\n\n\n2.0\nabc\n3.0\n", MalformedSampleError, "row 7"),
@@ -216,6 +242,17 @@ class TestReadCsv:
         p.write_text("".join(f"{x:.17g}\n" for x in values.tolist()))
         spec = SignalFileSpec(str(p), FORMAT_CSV, 100.0)
         assert traced_peak(read_signal, spec) < 3 * p.stat().st_size
+
+    def test_row_parser_memory_stays_bounded(self, tmp_path, traced_peak):
+        # np.loadtxt rejects a line of spaces, so this file takes the row
+        # parser. Holding the whole text and a string per row took 6.4x the
+        # file size.
+        p = tmp_path / "sig.csv"
+        values = np.random.default_rng(5).standard_normal(10**5)
+        p.write_text("".join(f"{x:.17g}\n" for x in values.tolist()) + "   \n")
+        spec = SignalFileSpec(str(p), FORMAT_CSV, 100.0)
+        assert traced_peak(read_signal, spec) < 3 * p.stat().st_size
+        assert read_signal(spec).samples.tobytes() == values.tobytes()
 
 
 class TestRawFormat:
@@ -365,8 +402,7 @@ class TestWriteReport:
         [
             pytest.param(
                 lambda: run_noise_color_sweep(
-                    [1.0], (4, 5), trials=2, n_samples=30_000, sample_rate_hz=2000.0,
-                    master_seed=3,
+                    [1.0], (4, 5), trials=2, n_samples=30_000, master_seed=3,
                 ),
                 "alpha,bits,noise_slope,is_white",
                 2,
