@@ -101,11 +101,10 @@ def _data_rows(lines, spec: SignalFileSpec):
 def _csv_samples(fh, spec: SignalFileSpec) -> np.ndarray:
     """Every data row's sample of the open text file ``fh``.
 
-    Text mode ends a line at "\n", "\r\n" or "\r" and nowhere else, and
-    ``np.loadtxt`` and the row parser both read the lines ``fh`` yields.
-    Where ``loadtxt`` rejects a row or reads a non-finite sample, the row
-    parser reads the same lines again, one at a time, and names the first
-    bad row's file line.
+    ``np.loadtxt`` and the row parser read the lines ``fh`` yields, which
+    end at "\n", "\r\n" or "\r" only. Where ``loadtxt`` rejects a row or
+    reads a non-finite sample, the row parser reads them again, one at a
+    time, and names the first bad row's file line.
     """
     first_line, _ = next(_data_rows(enumerate(fh, start=1), spec))
     fh.seek(0)
