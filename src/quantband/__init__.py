@@ -17,6 +17,7 @@ from .noise import PeakSpec, Signal, SYNTH_FULL_SCALE, SynthesisSpec, synthesize
 from .quantizer import (
     QuantizerConfig,
     error_signal,
+    increment_bits,
     quantize,
     quantize_values,
     saturation_count,
@@ -58,6 +59,7 @@ __all__ = [
     "synthesize",
     "QuantizerConfig",
     "error_signal",
+    "increment_bits",
     "quantize",
     "quantize_values",
     "saturation_count",

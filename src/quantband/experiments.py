@@ -305,15 +305,15 @@ def run_noise_color_sweep(
 ) -> NoiseColorSweepReport:
     """Mean quantization-noise slope over an (alpha, bits) grid.
 
-    Whiteness at each cell is judged on the mean slope across trials;
-    n_min per alpha is the first white bit depth in the range.
+    Whiteness at each cell is judged on the mean slope across trials.
+    Every cell is computed, and n_min per alpha is read from them by the
+    search ``find_n_min`` runs, started from the same trials: the first
+    white depth of the range wherever whiteness is upward-closed in depth.
     """
-    cells = [
-        cell
-        for alpha in alphas
-        for cell in noise_color_cells(alpha, bit_range, trials, master_seed, n_samples)
-    ]
-    n_min = {a: next((c.bits for c in cells if c.alpha == a and c.is_white), None) for a in alphas}
+    cells, n_min = [], {}
+    for alpha in alphas:
+        row, n_min[alpha] = noise_color_cells(alpha, bit_range, trials, master_seed, n_samples)
+        cells.extend(row)
     return NoiseColorSweepReport(
         alphas=list(alphas),
         bit_range=(int(bit_range[0]), int(bit_range[1])),

@@ -88,6 +88,21 @@ def error_signal(original: Signal, quantized: Signal) -> Signal:
     return Signal(quantized.samples - original.samples, original.sample_rate_hz)
 
 
+def increment_bits(signal: Signal, full_scale: float) -> float:
+    """Range-to-increment ratio b = log2(R / sigma_d), in bits.
+
+    sigma_d is the rms of the increments x[n+1] - x[n]. Quantizing 2x at
+    N bits gives exactly half of quantizing x at N + 1 bits, so the error
+    depends on N - b; for Gaussian increments the lag-1 whiteness term of
+    Widrow & Kollar (2008) is exp(-2 pi^2 4^(N - b)). A constant record
+    reads inf.
+    """
+    check_positive(full_scale, "full-scale range")
+    d = np.diff(signal.samples)
+    with np.errstate(divide="ignore"):
+        return float(np.log2(full_scale / np.sqrt(d @ d / d.size)))
+
+
 def theoretical_noise_floor(cfg: QuantizerConfig, sample_rate_hz: float) -> float:
     """One-sided quantization noise PSD delta^2 / (6 * f_s) under the white model."""
     check_positive(sample_rate_hz, "sample rate")

@@ -9,14 +9,21 @@ quantization error itself is spectrally white.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoUsableBandError, ValidationError, check_positive
 from .noise import REFERENCE_RATE_HZ, Signal, SYNTH_FULL_SCALE, SynthesisSpec, synthesize
-from .quantizer import MAX_BITS, QuantizerConfig, error_signal, quantize, theoretical_noise_floor
+from .quantizer import (
+    MAX_BITS,
+    QuantizerConfig,
+    error_signal,
+    increment_bits,
+    quantize,
+    theoretical_noise_floor,
+)
 from .spectral import Psd, check_fit_samples, fit_slope, record_psd
 from .spectral import welch_psd  # noqa: F401  unused; perfbench/tracer.py patches every binding
 
@@ -30,6 +37,16 @@ CROSSING_FIT_HALF_WIDTH = 2.0**0.25
 WHITE_SLOPE_THRESHOLD = 0.1
 # Record of one noise-color trial: 10^5 samples.
 NOISE_COLOR_N_SAMPLES = 100_000
+# The N_min search starts at ceil(b - N_MIN_OFFSET), b the trials' mean
+# ``increment_bits``. Starting at N_min or at N_min - 1 both cost two
+# cells, so any offset in [b - N_min, b - N_min + 2) is cheapest. Over 70
+# grids off the acceptance seeds (master seeds 0, 7, 100, 300, 900, 2000,
+# 4000 and 5000; alphas 1-3; 25,000 to 10^5 samples; 3 or 20 trials),
+# b - N_min spanned 0.81-1.98, so every offset in [1.98, 2.81) is; this
+# is its middle. Where whiteness is upward-closed in depth (see
+# ``find_n_min``) the offset moves only how many cells the search
+# computes, not which depth it returns.
+N_MIN_OFFSET = 2.4
 
 FLOOR_THEORETICAL = "theoretical"
 FLOOR_EMPIRICAL = "empirical"
@@ -179,32 +196,70 @@ def measure_noise_slope(signal: Signal, cfg: QuantizerConfig) -> float:
     return error_noise_slope(error_signal(signal, quantize(signal, cfg)))
 
 
+def _noise_color_trials(
+    alpha: float, trials: int, master_seed: int, n_samples: int
+) -> tuple[list[Signal], float]:
+    """The trials of one alpha, and their mean ``increment_bits``.
+
+    Trial i (seed master_seed + i) is synthesized once and quantized at
+    every depth a caller asks for. Synthesis peak-normalizes, so the
+    sample rate changes no sample and no slope: every trial runs at
+    REFERENCE_RATE_HZ.
+    """
+    check_fit_samples(n_samples)
+    signals = [
+        synthesize(SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ, seed=master_seed + i))
+        for i in range(trials)
+    ]
+    return signals, float(np.mean([increment_bits(sig, SYNTH_FULL_SCALE) for sig in signals]))
+
+
+def _noise_color_cell(alpha: float, bits: int, signals: list[Signal]) -> NoiseColorCell:
+    """The cell of one bit depth: white when the mean slope over the trials ``is_white``."""
+    cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
+    mean_slope = float(np.mean([measure_noise_slope(sig, cfg) for sig in signals]))
+    return NoiseColorCell(alpha, bits, mean_slope, is_white(mean_slope))
+
+
+def _first_white(white_at: Callable[[int], bool], start: int, lo: int, hi: int) -> int | None:
+    """Smallest depth in [lo, hi] that ``white_at``, searched outward from ``start``.
+
+    If ``start`` is white, step down while the depth below is white;
+    otherwise step up to the first white depth, or return None past hi.
+    This is the first white depth of a scan up from lo whenever
+    whiteness is upward-closed in depth over the range (every depth
+    above a white one is white). It then asks about at most
+    |start - answer| + 2 depths.
+    """
+    if white_at(start):
+        while start > lo and white_at(start - 1):
+            start -= 1
+        return start
+    return next((bits for bits in range(start + 1, hi + 1) if white_at(bits)), None)
+
+
+def _search_start(mean_increment_bits: float, n_lo: int, n_hi: int) -> int:
+    """Where the N_min search starts: ceil(b - N_MIN_OFFSET), clipped to [n_lo, n_hi]."""
+    return int(np.clip(np.ceil(mean_increment_bits - N_MIN_OFFSET), n_lo, n_hi))
+
+
 def noise_color_cells(
     alpha: float,
     bit_range: tuple[int, int],
     trials: int,
     master_seed: int,
     n_samples: int,
-) -> Iterator[NoiseColorCell]:
-    """Noise-color cells of one alpha, one per bit depth in increasing order.
+) -> tuple[list[NoiseColorCell], int | None]:
+    """Every noise-color cell of one alpha, in increasing bit order, and its N_min.
 
-    Trial i (seed master_seed + i) is synthesized once and quantized at
-    every depth; a cell is white when its mean slope ``is_white``.
-    Synthesis peak-normalizes, so the sample rate changes no sample and
-    no slope: every trial runs at REFERENCE_RATE_HZ.
-    Cells are computed lazily, so a caller can stop at the first white one.
+    N_min is read from the computed cells by the search ``find_n_min``
+    runs, started from the same trials, so both give the same answer.
     """
     n_lo, n_hi = check_grid(bit_range, trials)
-    check_fit_samples(n_samples)
-    signals = [
-        synthesize(SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ, seed=master_seed + i))
-        for i in range(trials)
-    ]
-    for bits in range(n_lo, n_hi + 1):
-        cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
-        slopes = [measure_noise_slope(sig, cfg) for sig in signals]
-        mean_slope = float(np.mean(slopes))
-        yield NoiseColorCell(alpha, bits, mean_slope, is_white(mean_slope))
+    signals, b_mean = _noise_color_trials(alpha, trials, master_seed, n_samples)
+    cells = [_noise_color_cell(alpha, bits, signals) for bits in range(n_lo, n_hi + 1)]
+    start = _search_start(b_mean, n_lo, n_hi)
+    return cells, _first_white(lambda bits: cells[bits - n_lo].is_white, start, n_lo, n_hi)
 
 
 def find_n_min(
@@ -214,11 +269,24 @@ def find_n_min(
     master_seed: int,
     n_samples: int = NOISE_COLOR_N_SAMPLES,
 ) -> int | None:
-    """Smallest bit depth in range whose mean noise slope is white.
+    """Smallest bit depth in range whose mean noise slope is white, or None.
 
-    Whiteness is decided on the mean slope across trials. Returns None
-    when no bit depth in the range qualifies; depths past the first white
-    one are never computed.
+    Whiteness is decided on the mean slope across trials. The trials'
+    mean ``increment_bits`` b predicts the answer to within a bit, so
+    the search computes depth ceil(b - N_MIN_OFFSET) first, clipped to
+    the range, and steps down while the depth below is white, or up to
+    the first white depth (see ``_first_white``). Only the cells it
+    visits are computed. The answer is the first white depth of a scan
+    up from the bottom of the range wherever whiteness is upward-closed
+    in depth, as it was in every checked record of 4,096 samples or
+    more; in single-segment records of a few hundred samples it is not,
+    and the two can differ.
     """
-    cells = noise_color_cells(alpha, bit_range, trials, master_seed, n_samples)
-    return next((cell.bits for cell in cells if cell.is_white), None)
+    n_lo, n_hi = check_grid(bit_range, trials)
+    signals, b_mean = _noise_color_trials(alpha, trials, master_seed, n_samples)
+    return _first_white(
+        lambda bits: _noise_color_cell(alpha, bits, signals).is_white,
+        _search_start(b_mean, n_lo, n_hi),
+        n_lo,
+        n_hi,
+    )

@@ -70,7 +70,9 @@ class SpectralFit:
 
     @property
     def s0_hat(self) -> float:
-        return 10.0**self.intercept_log10
+        """Fitted S_0; inf when it is beyond the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.power(10.0, self.intercept_log10))
 
 
 def _welch_density(

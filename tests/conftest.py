@@ -10,6 +10,7 @@ _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from quantband import scaling  # noqa: E402
 from quantband.errors import QuantbandError  # noqa: E402
 from quantband.experiments import (  # noqa: E402
     DEFAULT_SEED,
@@ -52,11 +53,28 @@ def table2_sweep():
 
 
 @pytest.fixture(scope="session")
-def n_min_answers():
-    return {
-        alpha: find_n_min(alpha, (4, 12), trials=20, master_seed=DEFAULT_SEED)
-        for alpha in N_MIN_ALPHAS
-    }
+def n_min_battery():
+    """The five default N_min answers, and how many noise slopes they fitted."""
+    calls = 0
+    fit = scaling.measure_noise_slope
+
+    def counted(signal, cfg):
+        nonlocal calls
+        calls += 1
+        return fit(signal, cfg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scaling, "measure_noise_slope", counted)
+        answers = {
+            alpha: find_n_min(alpha, (4, 12), trials=20, master_seed=DEFAULT_SEED)
+            for alpha in N_MIN_ALPHAS
+        }
+    return answers, calls
+
+
+@pytest.fixture(scope="session")
+def n_min_answers(n_min_battery):
+    return n_min_battery[0]
 
 
 @pytest.fixture()

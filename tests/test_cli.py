@@ -524,6 +524,25 @@ def test_signal_rate_outside_the_limits_exits_two_naming_it(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [4096, 20_000])
+def test_blue_record_at_the_lowest_rate_reads_s0_inf(n, tmp_path, capsys):
+    # S_0 scales as f_s^(alpha - 1): a fitted alpha near -3.9 at 1e-30 Hz
+    # puts it past the float range, which raised OverflowError.
+    x = np.diff(np.random.default_rng(0).standard_normal(n + 2), 2)
+    sig = tmp_path / "blue.csv"
+    sig.write_text("".join(f"{v!r}\n" for v in (x / np.abs(x).max() * 1e98).tolist()))
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(
+            capsys, "analyze", "--in", str(sig), "--fs", "1e-30", "--bits", "8", "--out", str(out)
+        )
+    assert (code, err) == (0, "")
+    assert "fitted S0 (1 Hz):   inf" in stdout
+    report = json.loads(out.read_text())["report"]
+    assert report["alpha_hat"] < -3 and report["s0_hat"] is None
+
+
 @pytest.mark.parametrize("command", ["analyze", "bands"])
 @pytest.mark.parametrize("range_flag", [[], ["--range", "2"]])
 def test_signal_level_past_max_full_scale_exits_two_naming_its_peak(

@@ -209,6 +209,30 @@ class TestRunNoiseColorSweep:
         sweep = run_noise_color_sweep([alpha], r, trials, seed, n)
         assert find_n_min(alpha, r, trials, seed, n) == sweep.n_min[alpha]
 
+    @pytest.mark.parametrize("n, seed", [(25_000, 31), (50_000, 62)])
+    def test_guided_n_min_is_the_first_white_depth_of_the_full_table(self, n, seed):
+        # Whiteness is upward-closed in depth at these lengths, so the
+        # search from ceil(b - N_MIN_OFFSET) lands where a scan up from
+        # the bottom does, whatever its start.
+        alphas, r, trials = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0], (1, 16), 2
+        sweep = run_noise_color_sweep(alphas, r, trials, seed, n)
+        for alpha in alphas:
+            linear = next((c.bits for c in sweep.cells if c.alpha == alpha and c.is_white), None)
+            assert linear is not None
+            assert sweep.n_min[alpha] == linear, alpha
+            assert find_n_min(alpha, r, trials, seed, n) == linear, alpha
+
+    def test_short_record_n_min_is_the_guided_answer(self):
+        # A 300-sample record is one Welch segment: its mean slopes are
+        # noisy enough that whiteness is not upward-closed in depth. Here
+        # 1 and 4 bits are white and 2-3 are not; the search starts at 2
+        # and steps up to 4, and the sweep answers the same.
+        r, trials, seed, n = (1, 18), 3, 0, 300
+        sweep = run_noise_color_sweep([1.5], r, trials, seed, n)
+        white = [c.bits for c in sweep.cells if c.is_white]
+        assert white[:2] == [1, 4]
+        assert sweep.n_min[1.5] == find_n_min(1.5, r, trials, seed, n) == 4
+
     def test_defaults_are_the_cli_base(self):
         params = inspect.signature(find_n_min).parameters
         assert params["n_samples"].default == NOISE_COLOR_DEFAULTS["n_samples"]

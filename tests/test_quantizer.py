@@ -10,6 +10,7 @@ from quantband.quantizer import (
     MAX_FULL_SCALE,
     QuantizerConfig,
     error_signal,
+    increment_bits,
     quantize,
     quantize_values,
     saturation_count,
@@ -110,6 +111,20 @@ class TestQuantize:
         sig = Signal(np.array([0.0, 0.5, 1.5, -3.0]), 100.0)
         assert saturation_count(sig, cfg) == 2
 
+    @pytest.mark.parametrize("full_scale", [2.0, 3.7, 1e-3])
+    @pytest.mark.parametrize("bits", range(1, 20))
+    def test_doubling_the_input_costs_one_bit_exactly(self, bits, full_scale):
+        # With |x| < R/4 nothing saturates at either depth, and every step
+        # of the quantizer scales by a power of two: bit for bit equal.
+        rng = np.random.default_rng(bits)
+        quarter = full_scale / 4
+        finer = QuantizerConfig(bits + 1, full_scale)
+        edges = rng.integers(-(2 ** (bits - 1)) + 1, 2 ** (bits - 1), 512) * finer.step
+        x = np.concatenate([rng.uniform(-quarter, quarter, 4096), edges])
+        assert np.all(np.abs(x) < quarter)
+        coarse = quantize_values(2 * x, QuantizerConfig(bits, full_scale)) / 2
+        assert np.array_equal(coarse, quantize_values(x, finer))
+
 
 class TestErrorSignal:
     def test_zero_for_identical(self):
@@ -144,6 +159,26 @@ class TestErrorSignal:
         err = error_signal(sig, quantize(sig, cfg))
         assert 0.8 * cfg.step**2 / 12 <= err.samples.var() <= 1.2 * cfg.step**2 / 12
         assert abs(fit_slope(welch_psd(err)).slope) < 0.1
+
+
+class TestIncrementBits:
+    def test_hand_example(self):
+        # Increments +1, -1, +1: rms 1, so b = log2(R).
+        assert increment_bits(Signal(np.array([0.0, 1.0, 0.0, 1.0]), 100.0), 8.0) == 3.0
+
+    def test_constant_record_reads_inf(self):
+        assert increment_bits(Signal(np.full(16, 0.25), 100.0), 2.0) == np.inf
+
+    def test_unchanged_by_an_added_constant(self):
+        sig = synthesize(SynthesisSpec(2.0, 4096, 2000.0, seed=9))
+        shifted = Signal(sig.samples + 0.3, sig.sample_rate_hz)
+        assert increment_bits(shifted, 2.0) == pytest.approx(increment_bits(sig, 2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 3.0])
+    def test_halving_the_record_adds_one_bit(self, alpha):
+        sig = synthesize(SynthesisSpec(alpha, 4096, 2000.0, seed=9))
+        half = Signal(sig.samples / 2, sig.sample_rate_hz)
+        assert increment_bits(half, 2.0) == pytest.approx(increment_bits(sig, 2.0) + 1, abs=1e-12)
 
 
 class TestTheoreticalNoiseFloor:

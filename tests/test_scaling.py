@@ -10,6 +10,7 @@ from quantband.errors import NoUsableBandError, ValidationError
 from quantband.noise import SynthesisSpec, synthesize
 from quantband.quantizer import QuantizerConfig, theoretical_noise_floor
 from quantband.scaling import (
+    _first_white,
     detect_cutoff,
     find_n_min,
     is_white,
@@ -224,6 +225,31 @@ class TestNoiseColor:
 
     def test_find_n_min_absent_when_range_too_low(self):
         assert find_n_min(2.5, (4, 5), trials=2, master_seed=0) is None
+
+    def test_find_n_min_default_battery_computes_few_cells(self, n_min_battery):
+        # The five default nmin runs at seed 1234, whose answers criterion
+        # 5 reads: 8 of the 24 cells a scan up from 4 bits computes, at
+        # 20 trials each.
+        answers, slope_fits = n_min_battery
+        assert list(answers.values()) == [4, 5, 8, 10, None]
+        assert slope_fits <= 180
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (4, 12), (1, 24)])
+    def test_first_white_of_an_upward_closed_pattern(self, lo, hi):
+        # From every start, the search returns the threshold and asks
+        # about at most |start - threshold| + 2 depths.
+        for threshold in range(lo, hi + 2):
+            for start in range(lo, hi + 1):
+                asked = []
+
+                def white_at(bits):
+                    asked.append(bits)
+                    return bits >= threshold
+
+                answer = threshold if threshold <= hi else None
+                assert _first_white(white_at, start, lo, hi) == answer
+                assert len(asked) <= abs(start - threshold) + 2
+                assert all(lo <= bits <= hi for bits in asked)
 
     def test_find_n_min_rejects_empty_range(self):
         with pytest.raises(ValidationError):
