@@ -37,7 +37,7 @@ from .io import (
     write_signal,
 )
 from .noise import PeakSpec, Signal, SynthesisSpec, synthesize
-from .quantizer import MAX_FULL_SCALE, SIGNAL_RATE_LIMITS_HZ, QuantizerConfig
+from .quantizer import SIGNAL_RATE_LIMITS_HZ, QuantizerConfig, check_span
 from .scaling import FLOOR_EMPIRICAL, FLOOR_THEORETICAL, find_n_min
 
 EXIT_OK = 0
@@ -129,11 +129,7 @@ def _load_signal(args) -> tuple[Signal, QuantizerConfig]:
         raise ValidationError(f"sample rate {args.fs:g} Hz is outside [{lo:g}, {hi:g}] Hz")
     signal = read_signal(spec)
     peak = float(np.max(np.abs(signal.samples)))
-    if not 2.0 * peak <= MAX_FULL_SCALE:
-        raise ValidationError(
-            f"{args.infile}: peak |sample| {peak:g} is above {MAX_FULL_SCALE / 2:g}, "
-            f"half the largest full-scale range"
-        )
+    check_span(2.0 * peak, f"{args.infile}: the span 2 * peak |sample|")
     full_scale = args.range
     if full_scale is None:
         if peak == 0:

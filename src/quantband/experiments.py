@@ -22,8 +22,8 @@ from .noise import (
     synthesize,
 )
 from .quantizer import (
-    MAX_FULL_SCALE,
     QuantizerConfig,
+    check_span,
     error_signal,
     quantize,
     saturation_count,
@@ -104,15 +104,10 @@ class ValidationConfig:
             peak.validate(self.sample_rate_hz)
         # Each trial's record spans 2 * reference_rate_scale; past the
         # largest range a quantizer takes, its PSD overflows.
-        try:
-            span = 2.0 * reference_rate_scale(self.alpha, self.sample_rate_hz)
-        except OverflowError:
-            span = float("inf")
-        if not span <= MAX_FULL_SCALE:
-            raise ValidationError(
-                f"alpha={self.alpha} at f_s={self.sample_rate_hz} Hz scales each record "
-                f"to a span of {span:g}, above the largest full-scale range {MAX_FULL_SCALE:g}"
-            )
+        check_span(
+            2.0 * reference_rate_scale(self.alpha, self.sample_rate_hz),
+            f"the span of each record at alpha={self.alpha} and f_s={self.sample_rate_hz} Hz",
+        )
 
     @property
     def bits(self) -> list[int]:
@@ -305,18 +300,25 @@ def run_noise_color_sweep(
 ) -> NoiseColorSweepReport:
     """Mean quantization-noise slope over an (alpha, bits) grid.
 
-    Whiteness at each cell is judged on the mean slope across trials.
-    Every cell is computed, and n_min per alpha is read from them by the
-    search ``find_n_min`` runs, started from the same trials: the first
-    white depth of the range wherever whiteness is upward-closed in depth.
+    Whiteness at each cell is judged on the mean slope across trials. The
+    grid, the record length and every alpha are checked before any trial
+    is synthesized. Each alpha's ``noise_color_cells`` gives its n_min,
+    the answer ``find_n_min`` returns, and its memoized ``cell``, which is
+    then asked for every depth in order: the cells the search computed
+    are reused, not refitted.
     """
+    n_lo, n_hi = check_grid(bit_range, trials)
+    check_fit_samples(n_samples)
+    for alpha in alphas:
+        SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ)  # raises on a bad alpha
     cells, n_min = [], {}
     for alpha in alphas:
-        row, n_min[alpha] = noise_color_cells(alpha, bit_range, trials, master_seed, n_samples)
-        cells.extend(row)
+        cell, n_min[alpha] = noise_color_cells(alpha, bit_range, trials, master_seed, n_samples)
+        cells.extend(cell(bits) for bits in range(n_lo, n_hi + 1))
+        del cell  # drops this alpha's trials before the next alpha's are synthesized
     return NoiseColorSweepReport(
         alphas=list(alphas),
-        bit_range=(int(bit_range[0]), int(bit_range[1])),
+        bit_range=(n_lo, n_hi),
         trials=trials,
         n_samples=n_samples,
         sample_rate_hz=REFERENCE_RATE_HZ,

@@ -188,7 +188,10 @@ def reference_rate_scale(alpha: float, sample_rate_hz: float) -> float:
     A fixed range then sees the same S0 at every rate, so f_s moves the
     cutoffs against the Nyquist frequency as the closed form says. The
     factor is 1 at the reference rate and for alpha = 1; spectral peaks
-    are scaled with the background.
+    are scaled with the background. A factor past the float range reads inf.
     """
     check_positive(sample_rate_hz, "sample rate")
-    return float((REFERENCE_RATE_HZ / sample_rate_hz) ** ((alpha - 1.0) / 2.0))
+    try:
+        return float((REFERENCE_RATE_HZ / sample_rate_hz) ** ((alpha - 1.0) / 2.0))
+    except OverflowError:
+        return float("inf")

@@ -27,6 +27,12 @@ MAX_FULL_SCALE = 1e100
 SIGNAL_RATE_LIMITS_HZ = (1e-30, 1e30)
 
 
+def check_span(span: float, what: str) -> None:
+    """Raise ValidationError naming ``what`` unless ``span`` is at most MAX_FULL_SCALE."""
+    if not span <= MAX_FULL_SCALE:
+        raise ValidationError(f"{what} must be at most {MAX_FULL_SCALE:g}, got {span:g}")
+
+
 @dataclass(frozen=True)
 class QuantizerConfig:
     """Bit depth and full-scale range of a uniform quantizer."""
@@ -39,10 +45,7 @@ class QuantizerConfig:
             raise ValidationError(f"bits must be an integer in [1, {MAX_BITS}], got {self.bits}")
         object.__setattr__(self, "bits", int(self.bits))
         check_positive(self.full_scale, "full-scale range")
-        if self.full_scale > MAX_FULL_SCALE:
-            raise ValidationError(
-                f"full-scale range must be at most {MAX_FULL_SCALE:g}, got {self.full_scale}"
-            )
+        check_span(self.full_scale, "full-scale range")
 
     @property
     def step(self) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -196,31 +197,6 @@ def measure_noise_slope(signal: Signal, cfg: QuantizerConfig) -> float:
     return error_noise_slope(error_signal(signal, quantize(signal, cfg)))
 
 
-def _noise_color_trials(
-    alpha: float, trials: int, master_seed: int, n_samples: int
-) -> tuple[list[Signal], float]:
-    """The trials of one alpha, and their mean ``increment_bits``.
-
-    Trial i (seed master_seed + i) is synthesized once and quantized at
-    every depth a caller asks for. Synthesis peak-normalizes, so the
-    sample rate changes no sample and no slope: every trial runs at
-    REFERENCE_RATE_HZ.
-    """
-    check_fit_samples(n_samples)
-    signals = [
-        synthesize(SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ, seed=master_seed + i))
-        for i in range(trials)
-    ]
-    return signals, float(np.mean([increment_bits(sig, SYNTH_FULL_SCALE) for sig in signals]))
-
-
-def _noise_color_cell(alpha: float, bits: int, signals: list[Signal]) -> NoiseColorCell:
-    """The cell of one bit depth: white when the mean slope over the trials ``is_white``."""
-    cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
-    mean_slope = float(np.mean([measure_noise_slope(sig, cfg) for sig in signals]))
-    return NoiseColorCell(alpha, bits, mean_slope, is_white(mean_slope))
-
-
 def _first_white(white_at: Callable[[int], bool], start: int, lo: int, hi: int) -> int | None:
     """Smallest depth in [lo, hi] that ``white_at``, searched outward from ``start``.
 
@@ -238,28 +214,44 @@ def _first_white(white_at: Callable[[int], bool], start: int, lo: int, hi: int) 
     return next((bits for bits in range(start + 1, hi + 1) if white_at(bits)), None)
 
 
-def _search_start(mean_increment_bits: float, n_lo: int, n_hi: int) -> int:
-    """Where the N_min search starts: ceil(b - N_MIN_OFFSET), clipped to [n_lo, n_hi]."""
-    return int(np.clip(np.ceil(mean_increment_bits - N_MIN_OFFSET), n_lo, n_hi))
-
-
 def noise_color_cells(
     alpha: float,
     bit_range: tuple[int, int],
     trials: int,
     master_seed: int,
     n_samples: int,
-) -> tuple[list[NoiseColorCell], int | None]:
-    """Every noise-color cell of one alpha, in increasing bit order, and its N_min.
+) -> tuple[Callable[[int], NoiseColorCell], int | None]:
+    """The noise-color cells of one alpha, computed when asked for, and its N_min.
 
-    N_min is read from the computed cells by the search ``find_n_min``
-    runs, started from the same trials, so both give the same answer.
+    Returns ``(cell, n_min)``. ``cell(bits)`` is the cell of one depth,
+    white when the mean slope over the trials ``is_white``; it is
+    memoized, so each depth is computed once, when first asked for.
+    Trial i (seed master_seed + i) is synthesized once, here. Synthesis
+    peak-normalizes, so the sample rate changes no sample and no slope:
+    every trial runs at REFERENCE_RATE_HZ.
+
+    ``n_min`` is what the search finds through ``cell``: it computes
+    depth ceil(b - N_MIN_OFFSET) first, b the trials' mean
+    ``increment_bits``, clipped to the range, and steps down while the
+    depth below is white, or up to the first white depth (see
+    ``_first_white``).
     """
     n_lo, n_hi = check_grid(bit_range, trials)
-    signals, b_mean = _noise_color_trials(alpha, trials, master_seed, n_samples)
-    cells = [_noise_color_cell(alpha, bits, signals) for bits in range(n_lo, n_hi + 1)]
-    start = _search_start(b_mean, n_lo, n_hi)
-    return cells, _first_white(lambda bits: cells[bits - n_lo].is_white, start, n_lo, n_hi)
+    check_fit_samples(n_samples)
+    signals = [
+        synthesize(SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ, seed=master_seed + i))
+        for i in range(trials)
+    ]
+    b_mean = np.mean([increment_bits(sig, SYNTH_FULL_SCALE) for sig in signals])
+
+    @cache
+    def cell(bits: int) -> NoiseColorCell:
+        cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
+        mean_slope = float(np.mean([measure_noise_slope(sig, cfg) for sig in signals]))
+        return NoiseColorCell(alpha, bits, mean_slope, is_white(mean_slope))
+
+    start = int(np.clip(np.ceil(b_mean - N_MIN_OFFSET), n_lo, n_hi))
+    return cell, _first_white(lambda bits: cell(bits).is_white, start, n_lo, n_hi)
 
 
 def find_n_min(
@@ -271,22 +263,13 @@ def find_n_min(
 ) -> int | None:
     """Smallest bit depth in range whose mean noise slope is white, or None.
 
-    Whiteness is decided on the mean slope across trials. The trials'
-    mean ``increment_bits`` b predicts the answer to within a bit, so
-    the search computes depth ceil(b - N_MIN_OFFSET) first, clipped to
-    the range, and steps down while the depth below is white, or up to
-    the first white depth (see ``_first_white``). Only the cells it
-    visits are computed. The answer is the first white depth of a scan
-    up from the bottom of the range wherever whiteness is upward-closed
-    in depth, as it was in every checked record of 4,096 samples or
-    more; in single-segment records of a few hundred samples it is not,
-    and the two can differ.
+    Whiteness is decided on the mean slope across trials. This is the
+    ``n_min`` of ``noise_color_cells``: the trials' mean
+    ``increment_bits`` predicts the answer to within a bit, the search
+    starts there, and only the cells it visits are computed. The answer
+    is the first white depth of a scan up from the bottom of the range
+    wherever whiteness is upward-closed in depth, as it was in every
+    checked record of 4,096 samples or more; in single-segment records of
+    a few hundred samples it is not, and the two can differ.
     """
-    n_lo, n_hi = check_grid(bit_range, trials)
-    signals, b_mean = _noise_color_trials(alpha, trials, master_seed, n_samples)
-    return _first_white(
-        lambda bits: _noise_color_cell(alpha, bits, signals).is_white,
-        _search_start(b_mean, n_lo, n_hi),
-        n_lo,
-        n_hi,
-    )
+    return noise_color_cells(alpha, bit_range, trials, master_seed, n_samples)[1]

@@ -302,6 +302,22 @@ class TestExperimentCommands:
         assert "--alpha" in err
         assert not out.exists()
 
+    def test_noise_color_bad_alpha_exits_two_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        # Alpha 2's whole default grid was computed before -1 was rejected.
+        calls = []
+        synthesize = quantband.scaling.synthesize
+        monkeypatch.setattr(
+            quantband.scaling, "synthesize",
+            lambda spec, *rest: calls.append(spec) or synthesize(spec, *rest),
+        )
+        out = tmp_path / "nc.json"
+        code, stdout, err = run(
+            capsys, "noise-color", "--alpha", "2", "--alpha", "-1", "--out", str(out)
+        )
+        assert (code, stdout, err) == (2, "", "error: alpha must be finite and >= 0, got -1.0\n")
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -491,8 +507,8 @@ def test_record_span_past_max_full_scale_fails_before_any_trial(
         )
     assert (code, stdout) == (2, "")
     assert err == (
-        f"error: alpha={float(alpha)} at f_s={float(fs)} Hz scales each record to a span "
-        f"of {span}, above the largest full-scale range 1e+100\n"
+        f"error: the span of each record at alpha={float(alpha)} and f_s={float(fs)} Hz "
+        f"must be at most 1e+100, got {span}\n"
     )
     assert calls == []
 
@@ -560,7 +576,7 @@ def test_signal_level_past_max_full_scale_exits_two_naming_its_peak(
     peak = max(abs(math.sin(i) * 1e160) for i in range(4096))
     assert (code, stdout) == (2, "")
     assert err == (
-        f"error: {sig}: peak |sample| {peak:g} is above 5e+99, half the largest full-scale range\n"
+        f"error: {sig}: the span 2 * peak |sample| must be at most 1e+100, got {2 * peak:g}\n"
     )
 
 

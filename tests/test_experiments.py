@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from quantband import experiments, quantizer
+from quantband import experiments, quantizer, scaling
 from quantband.errors import NoMeasurableBandError, NoUsableBandError, ValidationError
 from quantband.experiments import (
     NOISE_COLOR_DEFAULTS,
@@ -232,6 +232,22 @@ class TestRunNoiseColorSweep:
         white = [c.bits for c in sweep.cells if c.is_white]
         assert white[:2] == [1, 4]
         assert sweep.n_min[1.5] == find_n_min(1.5, r, trials, seed, n) == 4
+
+    def test_each_cell_is_fitted_once(self, monkeypatch):
+        # The sweep reads every depth through the cells its N_min search
+        # already computed: one slope fit per (alpha, bits, trial).
+        alphas, r, trials, seed, n = [1.5, 2.5], (1, 8), 2, 77, 4096
+        calls = []
+        fit = scaling.measure_noise_slope
+        monkeypatch.setattr(
+            scaling, "measure_noise_slope", lambda sig, cfg: calls.append(cfg) or fit(sig, cfg)
+        )
+        sweep = run_noise_color_sweep(alphas, r, trials, seed, n)
+        assert len(calls) == len(alphas) * 8 * trials
+        assert len(sweep.cells) == len(alphas) * 8
+        monkeypatch.undo()
+        for alpha in alphas:
+            assert sweep.n_min[alpha] == find_n_min(alpha, r, trials, seed, n), alpha
 
     def test_defaults_are_the_cli_base(self):
         params = inspect.signature(find_n_min).parameters

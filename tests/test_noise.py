@@ -246,6 +246,9 @@ class TestReferenceRateScale:
         with pytest.raises(ValidationError):
             reference_rate_scale(2.0, 0.0)
 
+    def test_overflow_reads_inf(self):
+        assert reference_rate_scale(300.0, 0.001) == np.inf
+
 
 class TestSignal:
     def test_rejects_nonfinite(self):
