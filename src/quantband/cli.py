@@ -53,17 +53,11 @@ PEAKS_BASE = replace(VALIDATION_BASE, sample_rate_hz=2000.0, bit_range=(5, 6))
 DEFAULT_PEAKS = (PeakSpec(10.0, 2.0, 50.0), PeakSpec(100.0, 20.0, 0.25))
 SENSITIVITY_DELTAS = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
 
-# Grid flag (argparse dest) -> the config field it overrides.
-GRID_FIELDS = {
-    "alpha": "alpha",
-    "alphas": "alphas",
-    "fs": "sample_rate_hz",
-    "n": "n_samples",
-    "bits": "bit_range",
-    "trials": "trials",
-    "floor": "floor_method",
-    "seed": "master_seed",
-}
+# The config fields that grid flags override; each flag's argparse dest is its field.
+GRID_FIELDS = (
+    "alpha", "alphas", "sample_rate_hz", "n_samples", "bit_range", "trials", "floor_method",
+    "master_seed",
+)
 
 
 def _colon_fields(text: str, converters: tuple, form: str, kind: str) -> tuple:
@@ -118,9 +112,9 @@ def _load_signal(args) -> tuple[Signal, QuantizerConfig]:
 
     Without --range the quantizer range covers the signal exactly (2 *
     max|x|), matching the synthetic convention (peak 1, R = 2). A signal
-    whose span 2 * max|x| passes the largest range is rejected whatever
-    the range: its own PSD would overflow. So is a rate outside
-    SIGNAL_RATE_LIMITS_HZ.
+    whose span 2 * max|x| lies outside the ranges a quantizer takes is
+    rejected whatever the range: its own PSD would overflow or underflow.
+    So is a rate outside SIGNAL_RATE_LIMITS_HZ.
     """
     fmt = _signal_format(args.infile, args.file_format)
     spec = SignalFileSpec(args.infile, fmt, args.fs, channel_index=args.channel)
@@ -130,11 +124,7 @@ def _load_signal(args) -> tuple[Signal, QuantizerConfig]:
     signal = read_signal(spec)
     peak = float(np.max(np.abs(signal.samples)))
     check_span(2.0 * peak, f"{args.infile}: the span 2 * peak |sample|")
-    full_scale = args.range
-    if full_scale is None:
-        if peak == 0:
-            raise ValidationError("signal is identically zero; pass --range explicitly")
-        full_scale = 2.0 * peak
+    full_scale = 2.0 * peak if args.range is None else args.range
     return signal, QuantizerConfig(bits=args.bits, full_scale=full_scale)
 
 
@@ -151,9 +141,9 @@ def _config(args, presets: dict, base):
             raise ValidationError(f"unknown preset {preset!r}; choose from {sorted(presets)}")
         base = presets[preset]
     given = {
-        name: getattr(args, dest)
-        for dest, name in GRID_FIELDS.items()
-        if getattr(args, dest, None) is not None
+        field: getattr(args, field)
+        for field in GRID_FIELDS
+        if getattr(args, field, None) is not None
     }
     if "bit_range" in given:
         given["bit_range"] = _parse_bit_range(given["bit_range"])
@@ -288,10 +278,13 @@ def _add_output(
 def _add_grid(parser: argparse.ArgumentParser, **alpha) -> None:
     # No defaults: a flag the user does not give keeps the base config's value.
     parser.add_argument("--alpha", type=float, **alpha)
-    parser.add_argument("--n", type=int, help="samples per trial")
-    parser.add_argument("--bits", help="bit range lo:hi")
+    parser.add_argument("--n", dest="n_samples", type=int, metavar="N", help="samples per trial")
+    parser.add_argument("--bits", dest="bit_range", metavar="BITS", help="bit range lo:hi")
     parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
+    parser.add_argument(
+        "--seed", dest="master_seed", type=int, default=DEFAULT_SEED, metavar="SEED",
+        help="master seed",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,8 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
         # Validation runs also choose their sample rate, which moves their
         # cutoffs, and their noise floor.
         if presets is VALIDATION_PRESETS:
-            q.add_argument("--fs", type=float, help="sample rate in Hz")
-            q.add_argument("--floor", choices=[FLOOR_THEORETICAL, FLOOR_EMPIRICAL])
+            q.add_argument(
+                "--fs", dest="sample_rate_hz", type=float, metavar="FS", help="sample rate in Hz"
+            )
+            q.add_argument(
+                "--floor", dest="floor_method", choices=[FLOOR_THEORETICAL, FLOOR_EMPIRICAL]
+            )
         _add_output(q)
         q.set_defaults(fn=fn)
         return q

@@ -102,8 +102,8 @@ class ValidationConfig:
         check_fit_samples(self.n_samples)
         for peak in self.peaks:
             peak.validate(self.sample_rate_hz)
-        # Each trial's record spans 2 * reference_rate_scale; past the
-        # largest range a quantizer takes, its PSD overflows.
+        # Each trial's record spans 2 * reference_rate_scale; outside the
+        # ranges a quantizer takes, its PSD overflows or underflows.
         check_span(
             2.0 * reference_rate_scale(self.alpha, self.sample_rate_hz),
             f"the span of each record at alpha={self.alpha} and f_s={self.sample_rate_hz} Hz",
@@ -180,16 +180,11 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int, workspace: SynthesisWorksp
     from the trial's fitted slope and intercept exceeds f_s/2, or when
     the floor buries the whole PSD.
 
-    The trial synthesizes into ``workspace``'s record and scales it there.
+    The trial synthesizes ``workspace``'s spec at its own seed into the
+    workspace's record and scales it there.
     """
     nyquist = cfg.sample_rate_hz / 2.0
-    spec = SynthesisSpec(
-        cfg.alpha,
-        cfg.n_samples,
-        cfg.sample_rate_hz,
-        seed=cfg.master_seed + trial,
-        peaks=cfg.peaks,
-    )
+    spec = replace(workspace.spec, seed=cfg.master_seed + trial)
     samples = synthesize(spec, workspace).samples
     samples *= reference_rate_scale(cfg.alpha, cfg.sample_rate_hz)
     signal = Signal(samples, cfg.sample_rate_hz)
@@ -464,6 +459,8 @@ def run_band_power(
     rows = []
     for name, f_low, f_high in bands:
         p_orig = band_power(psd_orig, f_low, f_high)
+        if p_orig == 0:  # a constant record, whose segments lose everything to mean removal
+            raise ValidationError(f"band ({f_low}, {f_high}) Hz holds no power in the record")
         p_quant = band_power(psd_quant, f_low, f_high)
         ratio = p_quant / p_orig
         rows.append(

@@ -204,12 +204,9 @@ def write_signal(signal: Signal, spec: SignalFileSpec) -> None:
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonable(value.item())
+    """A report of Python scalars as JSON values; a non-finite float becomes null."""
     if isinstance(value, float) and not np.isfinite(value):
         return None
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
     if isinstance(value, dict):

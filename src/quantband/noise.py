@@ -14,6 +14,8 @@ presets do, scale a synthesis by ``reference_rate_scale``.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -100,6 +102,18 @@ class SynthesisSpec:
             raise ValidationError(f"n_samples must be an integer >= 16, got {self.n_samples}")
         object.__setattr__(self, "n_samples", int(self.n_samples))
         check_positive(self.sample_rate_hz, "sample rate")
+        # The largest bin amplitude, (f_s / n)^(-alpha / 2), in bits. The
+        # inverse FFT sums n terms of at most that size and divides by n.
+        # Past either limit below, the record overflows to inf, or it
+        # underflows to 0 and peak normalization divides 0 by 0.
+        log2_n = math.log2(self.n_samples)
+        log2_amp = -0.5 * self.alpha * (math.log2(self.sample_rate_hz) - log2_n)
+        if not sys.float_info.min_exp - 1 + log2_n <= log2_amp < sys.float_info.max_exp - log2_n:
+            raise ValidationError(
+                f"the spectrum at alpha={self.alpha}, n={self.n_samples} and "
+                f"f_s={self.sample_rate_hz} Hz cannot be represented: its largest bin "
+                f"amplitude (f_s/n)^(-alpha/2) is 2^{log2_amp:.1f}"
+            )
         for peak in self.peaks:
             peak.validate(self.sample_rate_hz)
 

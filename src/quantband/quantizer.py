@@ -19,6 +19,12 @@ MAX_BITS = 24
 # Largest full-scale range: the squares that the white floor and every
 # Welch PSD of a quantized record form stay finite below it.
 MAX_FULL_SCALE = 1e100
+# Smallest full-scale range, the mirror of MAX_FULL_SCALE. Above it the
+# same squares stay normal floats: the floor (R / 2^24)^2 / (6 f_s) is
+# above 1e-246 at f_s = 1e30 Hz, and a PSD bin at a record's rounding
+# level, (1e-16 R)^2 / f_s, near 1e-262. Below it a record's PSD
+# underflows to zero bins and its floor to 0.
+MIN_FULL_SCALE = 1e-100
 # Sample rates a signal file may be read at. Scaling the rate by c scales
 # a record's frequencies by c, its densities by 1 / c and its fitted S_0,
 # about span^2 * (f_s / n)^(alpha - 1), by c^(alpha - 1). With spans up to
@@ -28,9 +34,11 @@ SIGNAL_RATE_LIMITS_HZ = (1e-30, 1e30)
 
 
 def check_span(span: float, what: str) -> None:
-    """Raise ValidationError naming ``what`` unless ``span`` is at most MAX_FULL_SCALE."""
+    """Raise ValidationError naming ``what`` unless MIN_FULL_SCALE <= ``span`` <= MAX_FULL_SCALE."""
     if not span <= MAX_FULL_SCALE:
         raise ValidationError(f"{what} must be at most {MAX_FULL_SCALE:g}, got {span:g}")
+    if not span >= MIN_FULL_SCALE:
+        raise ValidationError(f"{what} must be at least {MIN_FULL_SCALE:g}, got {span:g}")
 
 
 @dataclass(frozen=True)

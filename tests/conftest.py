@@ -10,7 +10,7 @@ _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from quantband import scaling  # noqa: E402
+from quantband import experiments, scaling  # noqa: E402
 from quantband.errors import QuantbandError  # noqa: E402
 from quantband.experiments import (  # noqa: E402
     DEFAULT_SEED,
@@ -75,6 +75,23 @@ def n_min_battery():
 @pytest.fixture(scope="session")
 def n_min_answers(n_min_battery):
     return n_min_battery[0]
+
+
+@pytest.fixture()
+def synthesis_calls(monkeypatch):
+    """The spec of every trial the runners synthesize, in order.
+
+    Patches ``synthesize`` where the validation runners (``experiments``)
+    and the noise-color search (``scaling``) look it up; each call still
+    synthesizes.
+    """
+    calls = []
+    for module in (experiments, scaling):
+        monkeypatch.setattr(
+            module, "synthesize",
+            lambda spec, *rest, f=module.synthesize: calls.append(spec) or f(spec, *rest),
+        )
+    return calls
 
 
 @pytest.fixture()

@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 import quantband.cli
-import quantband.experiments
-import quantband.scaling
 from quantband.cli import build_parser, main
 from quantband.experiments import ValidationConfig
 from quantband.noise import PeakSpec
@@ -102,6 +100,39 @@ class TestSynth:
         assert code == 0
         assert stdout.strip() == str(out)
 
+    @pytest.mark.parametrize("fs, log2_amp", [("1e6", "-1494.9"), ("1", "1494.9")])
+    def test_unrepresentable_spectrum_exits_two_naming_it(self, fs, log2_amp, tmp_path, capsys):
+        # Every bin underflowed and peak normalization divided 0 by 0 (1 MHz),
+        # or the amplitudes overflowed inside the inverse FFT (1 Hz).
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(
+                capsys, "synth", "--alpha", "300", "--n", "1000", "--fs", fs, "--out", str(out)
+            )
+        assert (code, stdout) == (2, "")
+        assert err == (
+            f"error: the spectrum at alpha=300.0, n=1000 and f_s={float(fs)} Hz cannot be "
+            f"represented: its largest bin amplitude (f_s/n)^(-alpha/2) is 2^{log2_amp}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "peak, message",
+        [
+            ("0:1:1", "peak center 0.0 Hz must lie in (0, 1000.0) Hz"),
+            ("10:1:-1", "peak amplitude factor must be >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_peak_exits_two_naming_it(self, peak, message, tmp_path, capsys):
+        out = tmp_path / "x.f64"
+        code, stdout, err = run(
+            capsys, "synth", "--alpha", "2", "--n", "4096", "--fs", "2000",
+            "--peak", peak, "--out", str(out),
+        )
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
 
 class TestAnalyze:
     @pytest.fixture()
@@ -161,6 +192,51 @@ class TestAnalyze:
         assert (code, stdout, err) == (
             2, "", "error: full-scale range must be at most 1e+100, got 1e+200\n"
         )
+
+    def test_tiny_range_exits_two_naming_it(self, alpha2_file, capsys):
+        # The floor (R / 2^N)^2 / (6 f_s) of a 1e-160 range underflowed to 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(
+                capsys, "analyze", "--in", str(alpha2_file), "--fs", "2000",
+                "--bits", "8", "--range", "1e-160",
+            )
+        assert (code, stdout, err) == (
+            2, "", "error: full-scale range must be at least 1e-100, got 1e-160\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, file_format, natural", [("b.dat", "csv", "a.csv"), ("b.csv", "raw", "a.f64")]
+    )
+    def test_file_format_overrides_the_file_name(
+        self, name, file_format, natural, tmp_path, capsys
+    ):
+        # synth writes, and analyze reads, the format given, whatever the suffix.
+        files = [(tmp_path / natural, []), (tmp_path / name, ["--file-format", file_format])]
+        for path, flag in files:
+            run(capsys, "synth", "--alpha", "2", "--n", "4096", "--fs", "2000", "--seed", "5",
+                "--out", str(path), *flag)
+        (named, _), (overridden, _) = files
+        assert named.read_bytes() == overridden.read_bytes()
+        analyses = [
+            run(capsys, "analyze", "--in", str(path), "--fs", "2000", "--bits", "8", *flag)
+            for path, flag in files
+        ]
+        assert analyses[0][0] == 0
+        assert analyses[0] == analyses[1]
+
+    def test_negative_channel_exits_two(self, alpha2_file, capsys):
+        code, stdout, err = run(
+            capsys, "analyze", "--in", str(alpha2_file), "--fs", "2000", "--bits", "8",
+            "--channel", "-1",
+        )
+        assert (code, stdout, err) == (2, "", "error: channel index must be >= 0, got -1\n")
+
+    def test_empty_raw_file_exits_one(self, tmp_path, capsys):
+        empty = tmp_path / "empty.f64"
+        empty.write_bytes(b"")
+        code, stdout, err = run(capsys, "analyze", "--in", str(empty), "--fs", "2000", "--bits", "8")
+        assert (code, stdout, err) == (1, "", f"error: {empty}: file contains no samples\n")
 
     def test_json_report_written(self, alpha2_file, tmp_path, capsys):
         out = tmp_path / "analysis.json"
@@ -295,6 +371,12 @@ class TestExperimentCommands:
         assert code == 0
         assert stdout.strip() == "4"
 
+    def test_nmin_at_a_steep_alpha_still_synthesizes(self, capsys):
+        # At the 2 kHz reference rate the largest bin amplitude is 2^-150,
+        # well inside the float range.
+        code, stdout, err = run(capsys, "nmin", "--alpha", "300", "--n", "1000", "--trials", "1")
+        assert (code, stdout, err) == (0, "9\n", "")
+
     def test_noise_color_without_alpha_or_preset_exits_two(self, tmp_path, capsys):
         out = tmp_path / "nc.json"
         code, _, err = run(capsys, "noise-color", "--out", str(out))
@@ -302,20 +384,16 @@ class TestExperimentCommands:
         assert "--alpha" in err
         assert not out.exists()
 
-    def test_noise_color_bad_alpha_exits_two_before_any_trial(self, tmp_path, capsys, monkeypatch):
+    def test_noise_color_bad_alpha_exits_two_before_any_trial(
+        self, tmp_path, capsys, synthesis_calls
+    ):
         # Alpha 2's whole default grid was computed before -1 was rejected.
-        calls = []
-        synthesize = quantband.scaling.synthesize
-        monkeypatch.setattr(
-            quantband.scaling, "synthesize",
-            lambda spec, *rest: calls.append(spec) or synthesize(spec, *rest),
-        )
         out = tmp_path / "nc.json"
         code, stdout, err = run(
             capsys, "noise-color", "--alpha", "2", "--alpha", "-1", "--out", str(out)
         )
         assert (code, stdout, err) == (2, "", "error: alpha must be finite and >= 0, got -1.0\n")
-        assert calls == []
+        assert synthesis_calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -413,15 +491,8 @@ def test_colon_flag_errors_quote_the_flag(argv, message, tmp_path, capsys):
     ],
 )
 def test_record_too_short_to_fit_exits_two_naming_its_length(
-    argv, n, tmp_path, capsys, monkeypatch
+    argv, n, tmp_path, capsys, monkeypatch, synthesis_calls
 ):
-    calls = []
-    for module in (quantband.experiments, quantband.scaling):
-        synthesize = module.synthesize
-        monkeypatch.setattr(
-            module, "synthesize",
-            lambda spec, *rest, f=synthesize: calls.append(spec) or f(spec, *rest),
-        )
     if argv[0] == "analyze":
         sig = tmp_path / "short.csv"
         sig.write_text("".join(f"{math.sin(i)}\n" for i in range(n)))
@@ -432,7 +503,7 @@ def test_record_too_short_to_fit_exits_two_naming_its_length(
     assert err == (
         f"error: record of {n} samples is too short for a spectral fit; need at least 76\n"
     )
-    assert calls == []
+    assert synthesis_calls == []
 
 
 def test_bands_on_a_record_too_short_to_fit_names_the_band(tmp_path, capsys):
@@ -443,19 +514,13 @@ def test_bands_on_a_record_too_short_to_fit_names_the_band(tmp_path, capsys):
     assert (code, stdout, err) == (2, "", "error: band (0.5, 4.0) Hz spans fewer than 2 bins\n")
 
 
-def test_bad_peak_fails_before_any_trial(tmp_path, capsys, monkeypatch):
-    calls = []
-    synthesize = quantband.experiments.synthesize
-    monkeypatch.setattr(
-        quantband.experiments, "synthesize",
-        lambda spec, *rest: calls.append(spec) or synthesize(spec, *rest),
-    )
+def test_bad_peak_fails_before_any_trial(tmp_path, capsys, synthesis_calls):
     code, _, err = run(capsys, "peaks", "--peak", "999:10:1", "--out", str(tmp_path / "r.json"))
     assert code == 2
     assert err == (
         "error: peak at 999.0 Hz with width 10.0 Hz extends past the Nyquist frequency 1000.0 Hz\n"
     )
-    assert calls == []
+    assert synthesis_calls == []
 
 
 @pytest.mark.parametrize(
@@ -468,36 +533,23 @@ def test_bad_peak_fails_before_any_trial(tmp_path, capsys, monkeypatch):
     ids=["nmin", "noise-color", "validate"],
 )
 def test_bit_range_past_max_bits_fails_before_any_trial(
-    argv, bit_range, tmp_path, capsys, monkeypatch
+    argv, bit_range, tmp_path, capsys, monkeypatch, synthesis_calls
 ):
-    calls = []
-    for module in (quantband.experiments, quantband.scaling):
-        synthesize = module.synthesize
-        monkeypatch.setattr(
-            module, "synthesize",
-            lambda spec, *rest, f=synthesize: calls.append(spec) or f(spec, *rest),
-        )
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err == f"error: invalid bit range {bit_range}\n"
-    assert calls == []
+    assert synthesis_calls == []
 
 
 @pytest.mark.parametrize(
     "alpha, fs, span", [("300", "0.001", "inf"), ("60", "0.01", "4.80192e+156")]
 )
 def test_record_span_past_max_full_scale_fails_before_any_trial(
-    alpha, fs, span, tmp_path, capsys, monkeypatch
+    alpha, fs, span, tmp_path, capsys, monkeypatch, synthesis_calls
 ):
     # reference_rate_scale overflowed (alpha 300), or the scaled record's
     # PSD did (alpha 60), inside the first trial.
-    calls = []
-    synthesize = quantband.experiments.synthesize
-    monkeypatch.setattr(
-        quantband.experiments, "synthesize",
-        lambda spec, *rest: calls.append(spec) or synthesize(spec, *rest),
-    )
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -510,7 +562,28 @@ def test_record_span_past_max_full_scale_fails_before_any_trial(
         f"error: the span of each record at alpha={float(alpha)} and f_s={float(fs)} Hz "
         f"must be at most 1e+100, got {span}\n"
     )
-    assert calls == []
+    assert synthesis_calls == []
+
+
+@pytest.mark.parametrize("alpha, fs, span", [("60", "1e9", "1.5185e-168"), ("300", "1e6", "0")])
+def test_record_span_under_min_full_scale_fails_before_any_trial(
+    alpha, fs, span, tmp_path, capsys, monkeypatch, synthesis_calls
+):
+    # The scaled record's PSD underflowed (alpha 60), or reference_rate_scale
+    # did (alpha 300), and the run failed on its fit band or its samples.
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(
+            capsys, "validate", "--alpha", alpha, "--fs", fs, "--n", "1000",
+            "--bits", "4:5", "--trials", "1",
+        )
+    assert (code, stdout) == (2, "")
+    assert err == (
+        f"error: the span of each record at alpha={float(alpha)} and f_s={float(fs)} Hz "
+        f"must be at least 1e-100, got {span}\n"
+    )
+    assert synthesis_calls == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "bands"])
@@ -577,6 +650,45 @@ def test_signal_level_past_max_full_scale_exits_two_naming_its_peak(
     assert (code, stdout) == (2, "")
     assert err == (
         f"error: {sig}: the span 2 * peak |sample| must be at most 1e+100, got {2 * peak:g}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["analyze", "bands"])
+@pytest.mark.parametrize("range_flag", [[], ["--range", "2"]])
+@pytest.mark.parametrize("name, level", [("tiny.csv", 1e-160), ("zeros.f64", 0.0)])
+def test_signal_level_under_min_full_scale_exits_two_naming_its_peak(
+    command, range_flag, name, level, tmp_path, capsys
+):
+    # The PSD of a 1e-160-level signal underflowed to zero bins; an all-zero
+    # signal divided by its zero band power in bands.
+    values = np.random.default_rng(0).standard_normal(4096) * level
+    sig = tmp_path / name
+    if name.endswith(".csv"):
+        sig.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    else:
+        values.tofile(sig)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(
+            capsys, command, "--in", str(sig), "--fs", "2000", "--bits", "8", *range_flag
+        )
+    assert (code, stdout) == (2, "")
+    assert err == (
+        f"error: {sig}: the span 2 * peak |sample| must be at least 1e-100, "
+        f"got {2 * np.abs(values).max():g}\n"
+    )
+
+
+def test_bands_on_a_constant_record_names_the_empty_band(tmp_path, capsys):
+    # Mean removal leaves each segment of a constant record zero, so the
+    # band power ratio divided by zero.
+    sig = tmp_path / "ones.f64"
+    np.ones(4096).tofile(sig)
+    code, stdout, err = run(
+        capsys, "bands", "--in", str(sig), "--fs", "2000", "--bits", "8", "--range", "2"
+    )
+    assert (code, stdout, err) == (
+        2, "", "error: band (0.5, 4.0) Hz holds no power in the record\n"
     )
 
 

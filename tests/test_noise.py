@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -224,6 +225,28 @@ def test_synthesis_holds_under_three_records(traced_peak):
     n = 200_000
     spec = SynthesisSpec(2.0, n, 2000.0, seed=3, peaks=(PeakSpec(100.0, 20.0, 0.25),))
     assert traced_peak(synthesize, spec) <= 3 * 8 * n
+
+
+@given(
+    alpha=st.floats(0.0, 400.0),
+    n=st.integers(16, 4096),
+    log10_fs=st.floats(-3.0, 9.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_accepted_spec_synthesizes_finite_samples_with_peak_one(alpha, n, log10_fs, seed):
+    # A spectrum whose bins all underflowed was normalized by dividing 0
+    # by 0, and one whose bins were too large overflowed in the inverse FFT.
+    try:
+        spec = SynthesisSpec(alpha, n, 10.0**log10_fs, seed=seed)
+    except ValidationError as exc:
+        assert str(exc).startswith(f"the spectrum at alpha={alpha}, n={n} and f_s=")
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = synthesize(spec).samples
+    assert np.isfinite(samples).all()
+    assert np.abs(samples).max() == 1.0
 
 
 class TestReferenceRateScale:
