@@ -178,7 +178,9 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int, workspace: SynthesisWorksp
     A bit depth is dropped (Nyquist-flagged) when the detected crossing
     reaches the end of the grid, when the closed-form cutoff predicted
     from the trial's fitted slope and intercept exceeds f_s/2, or when
-    the floor buries the whole PSD.
+    the floor buries the whole PSD. The closed-form test needs no floor,
+    so it comes first: a depth it drops is never quantized, estimated or
+    detected.
 
     The trial synthesizes ``workspace``'s spec at its own seed into the
     workspace's record and scales it there.
@@ -191,9 +193,11 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int, workspace: SynthesisWorksp
     psd = record_psd(signal)
     fit = fit_slope(psd)
 
-    row: list[float] = []
-    for bits in cfg.bits:
+    row = np.full(len(cfg.bits), np.nan)
+    for i, bits in enumerate(cfg.bits):
         qcfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
+        if _fitted_cutoff(fit, cfg.sample_rate_hz, qcfg) > nyquist:
+            continue  # dropped whatever the floor, so none is read
         if cfg.floor_method == FLOOR_THEORETICAL:
             floor = theoretical_noise_floor(qcfg, cfg.sample_rate_hz)
         else:
@@ -201,11 +205,10 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int, workspace: SynthesisWorksp
         try:
             detected = detect_cutoff(psd, floor, cfg.floor_method)
         except NoUsableBandError:
-            kept = False
-        else:
-            kept = not (detected.exceeded_nyquist or _fitted_cutoff(fit, cfg.sample_rate_hz, qcfg) > nyquist)
-        row.append(detected.f_c_hz if kept else np.nan)
-    return np.array(row)
+            continue
+        if not detected.exceeded_nyquist:
+            row[i] = detected.f_c_hz
+    return row
 
 
 def run_validation(cfg: ValidationConfig) -> ValidationReport:

@@ -73,6 +73,15 @@ class PeakSpec:
                 f"peak center {self.center_hz} Hz must lie in (0, {nyquist}) Hz"
             )
         check_positive(self.width_hz, "peak width")
+        # The Gaussian divides by 2 * width^2. Below the normal range that
+        # loses its precision and then reads 0, which the center bin
+        # divides 0 by; past the float range it is inf.
+        divisor = 2.0 * self.width_hz * self.width_hz
+        if not sys.float_info.min <= divisor < math.inf:
+            raise ValidationError(
+                f"peak width {self.width_hz} Hz is out of range: twice its square, "
+                f"{divisor:g}, is not a normal finite float"
+            )
         if not (self.amplitude_factor >= 0 and np.isfinite(self.amplitude_factor)):
             raise ValidationError(
                 f"peak amplitude factor must be >= 0, got {self.amplitude_factor}"
@@ -102,28 +111,43 @@ class SynthesisSpec:
             raise ValidationError(f"n_samples must be an integer >= 16, got {self.n_samples}")
         object.__setattr__(self, "n_samples", int(self.n_samples))
         check_positive(self.sample_rate_hz, "sample rate")
+        for peak in self.peaks:
+            peak.validate(self.sample_rate_hz)
         # The largest bin amplitude, (f_s / n)^(-alpha / 2), in bits. The
         # inverse FFT sums n terms of at most that size and divides by n.
         # Past either limit below, the record overflows to inf, or it
-        # underflows to 0 and peak normalization divides 0 by 0.
+        # underflows to 0 and peak normalization divides 0 by 0. Peaks
+        # raise a bin by at most sqrt(1 + the sum of their amplitude
+        # factors), which the upper limit counts; they lower none.
         log2_n = math.log2(self.n_samples)
         log2_amp = -0.5 * self.alpha * (math.log2(self.sample_rate_hz) - log2_n)
-        if not sys.float_info.min_exp - 1 + log2_n <= log2_amp < sys.float_info.max_exp - log2_n:
+        factors = sum(peak.amplitude_factor for peak in self.peaks)
+        log2_gain = 0.5 * math.log2(1.0 + factors)
+        if not (
+            sys.float_info.min_exp - 1 + log2_n <= log2_amp
+            and log2_amp + log2_gain < sys.float_info.max_exp - log2_n
+        ):
+            peaks = (
+                f", and peaks with amplitude factors summing to {factors:g} raise a bin "
+                f"by up to 2^{log2_gain:.1f}"
+                if self.peaks
+                else ""
+            )
             raise ValidationError(
                 f"the spectrum at alpha={self.alpha}, n={self.n_samples} and "
                 f"f_s={self.sample_rate_hz} Hz cannot be represented: its largest bin "
-                f"amplitude (f_s/n)^(-alpha/2) is 2^{log2_amp:.1f}"
+                f"amplitude (f_s/n)^(-alpha/2) is 2^{log2_amp:.1f}{peaks}"
             )
-        for peak in self.peaks:
-            peak.validate(self.sample_rate_hz)
 
 
 def _peak_multiplier(spec: SynthesisSpec, freqs: np.ndarray) -> np.ndarray:
     mult = np.ones_like(freqs)
     for peak in spec.peaks:
-        mult += peak.amplitude_factor * np.exp(
-            -((freqs - peak.center_hz) ** 2) / (2.0 * peak.width_hz**2)
-        )
+        # Far from a narrow peak the exponent overflows to -inf, and exp
+        # gives the 0 it tends to.
+        with np.errstate(over="ignore"):
+            exponent = -((freqs - peak.center_hz) ** 2) / (2.0 * peak.width_hz**2)
+        mult += peak.amplitude_factor * np.exp(exponent)
     return mult
 
 

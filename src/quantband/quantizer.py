@@ -107,11 +107,15 @@ def increment_bits(signal: Signal, full_scale: float) -> float:
     depends on N - b; for Gaussian increments the lag-1 whiteness term of
     Widrow & Kollar (2008) is exp(-2 pi^2 4^(N - b)). A constant record
     reads inf.
+
+    The mean square is a numpy reduction over the one temporary ``d``,
+    not the BLAS product ``d @ d``: a threaded BLAS runs that dot on
+    several threads, which then spin while idle.
     """
     check_positive(full_scale, "full-scale range")
     d = np.diff(signal.samples)
     with np.errstate(divide="ignore"):
-        return float(np.log2(full_scale / np.sqrt(d @ d / d.size)))
+        return float(np.log2(full_scale / np.sqrt(np.square(d, out=d).mean())))
 
 
 def theoretical_noise_floor(cfg: QuantizerConfig, sample_rate_hz: float) -> float:

@@ -10,13 +10,20 @@ quantization error itself is spectrally white.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
 from .errors import NoUsableBandError, ValidationError, check_positive
-from .noise import REFERENCE_RATE_HZ, Signal, SYNTH_FULL_SCALE, SynthesisSpec, synthesize
+from .noise import (
+    REFERENCE_RATE_HZ,
+    Signal,
+    SYNTH_FULL_SCALE,
+    SynthesisSpec,
+    SynthesisWorkspace,
+    synthesize,
+)
 from .quantizer import (
     MAX_BITS,
     QuantizerConfig,
@@ -226,9 +233,11 @@ def noise_color_cells(
     Returns ``(cell, n_min)``. ``cell(bits)`` is the cell of one depth,
     white when the mean slope over the trials ``is_white``; it is
     memoized, so each depth is computed once, when first asked for.
-    Trial i (seed master_seed + i) is synthesized once, here. Synthesis
-    peak-normalizes, so the sample rate changes no sample and no slope:
-    every trial runs at REFERENCE_RATE_HZ.
+    Trial i (seed master_seed + i) is synthesized once, here, through one
+    ``SynthesisWorkspace`` into row i of one (trials, n_samples) array,
+    which the cells hold; the workspace is dropped before any cell is
+    fitted. Synthesis peak-normalizes, so the sample rate changes no
+    sample and no slope: every trial runs at REFERENCE_RATE_HZ.
 
     ``n_min`` is what the search finds through ``cell``: it computes
     depth ceil(b - N_MIN_OFFSET) first, b the trials' mean
@@ -238,10 +247,13 @@ def noise_color_cells(
     """
     n_lo, n_hi = check_grid(bit_range, trials)
     check_fit_samples(n_samples)
-    signals = [
-        synthesize(SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ, seed=master_seed + i))
-        for i in range(trials)
-    ]
+    spec = SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ)
+    workspace = SynthesisWorkspace(spec)
+    records = np.empty((trials, n_samples))
+    for i, record in enumerate(records):
+        record[:] = synthesize(replace(spec, seed=master_seed + i), workspace).samples
+    del workspace  # its shape, spectrum and record are not held while cells are fitted
+    signals = [Signal(record, REFERENCE_RATE_HZ) for record in records]
     b_mean = np.mean([increment_bits(sig, SYNTH_FULL_SCALE) for sig in signals])
 
     @cache

@@ -118,6 +118,34 @@ class TestSynth:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # width^2 underflowed to 0, and the center bin divided 0 by 0.
+            (
+                ["--alpha", "2", "--fs", "2000", "--peak", "100:1e-200:1"],
+                "peak width 1e-200 Hz is out of range: twice its square, 0, is not a "
+                "normal finite float",
+            ),
+            # The peak's gain overflowed a spectrum the bare check accepts.
+            (
+                ["--alpha", "100", "--fs", "0.01", "--peak", "0.001:0.0001:1e300"],
+                "the spectrum at alpha=100.0, n=1000 and f_s=0.01 Hz cannot be represented: "
+                "its largest bin amplitude (f_s/n)^(-alpha/2) is 2^830.5, and peaks with "
+                "amplitude factors summing to 1e+300 raise a bin by up to 2^498.3",
+            ),
+        ],
+    )
+    def test_unsynthesizable_peak_exits_two_naming_it(self, argv, message, tmp_path, capsys):
+        # Both printed RuntimeWarnings and exited 2 with "signal contains
+        # non-finite samples", which names no input.
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, err = run(capsys, "synth", "--n", "1000", *argv, "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "peak, message",
         [
             ("0:1:1", "peak center 0.0 Hz must lie in (0, 1000.0) Hz"),

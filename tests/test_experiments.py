@@ -2,9 +2,10 @@ import inspect
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from quantband import experiments, quantizer, scaling
+from quantband import experiments, noise, quantizer, scaling
 from quantband.errors import NoMeasurableBandError, NoUsableBandError, ValidationError
 from quantband.experiments import (
     NOISE_COLOR_DEFAULTS,
@@ -17,9 +18,22 @@ from quantband.experiments import (
     run_validation,
     standard_bands,
 )
-from quantband.noise import PeakSpec, Signal, SynthesisSpec, synthesize
+from quantband.noise import (
+    REFERENCE_RATE_HZ,
+    SYNTH_FULL_SCALE,
+    PeakSpec,
+    Signal,
+    SynthesisSpec,
+    synthesize,
+)
 from quantband.quantizer import QuantizerConfig, theoretical_noise_floor
-from quantband.scaling import CutoffEstimate, find_n_min, measure_noise_slope
+from quantband.scaling import (
+    FLOOR_EMPIRICAL,
+    CutoffEstimate,
+    find_n_min,
+    measure_noise_slope,
+    noise_color_cells,
+)
 from quantband.spectral import SpectralFit
 
 SMALL = ValidationConfig(
@@ -108,6 +122,40 @@ class TestRunValidation:
         analysis = analyze_signal(synthesize(SynthesisSpec(2.0, 30_000, 2000.0, seed=12)), cfg)
         assert math.isnan(analysis.predicted_cutoff_hz)
         assert analysis.predicted_exceeds_nyquist
+
+    def test_empirical_floor_is_read_only_at_or_below_nyquist(self, monkeypatch):
+        # A depth whose closed-form cutoff, from the trial's fit, exceeds
+        # f_s/2 is dropped whatever the floor, so it is never quantized and
+        # its floor never read. Here each trial keeps 8 bits, one of three
+        # keeps 9, and none keeps 10 or 11.
+        cfg = ValidationConfig(2.0, 20_000.0, 30_000, (8, 11), 3, floor_method=FLOOR_EMPIRICAL)
+        fit_slope, quantize = experiments.fit_slope, experiments.quantize
+        floor = experiments.empirical_noise_floor
+        fits, quantized, read = [], [], []  # read[i]: the depths whose floor trial i read
+
+        def recording_fit(psd):
+            fits.append(fit_slope(psd))
+            read.append([])
+            return fits[-1]
+
+        def recording_quantize(signal, qcfg):
+            quantized.append(qcfg.bits)
+            return quantize(signal, qcfg)
+
+        def recording_floor(psd):
+            read[-1].append(quantized[-1])
+            return floor(psd)
+
+        monkeypatch.setattr(experiments, "fit_slope", recording_fit)
+        monkeypatch.setattr(experiments, "quantize", recording_quantize)
+        monkeypatch.setattr(experiments, "empirical_noise_floor", recording_floor)
+        run_validation(cfg)
+        def fitted(fit, bits):
+            return experiments._fitted_cutoff(fit, cfg.sample_rate_hz, QuantizerConfig(bits, 2.0))
+
+        nyquist = cfg.sample_rate_hz / 2.0
+        assert read == [[b for b in cfg.bits if not fitted(fit, b) > nyquist] for fit in fits]
+        assert sorted(quantized) == sorted(sum(read, [])) == [8, 8, 8, 9]
 
     def test_aggregation_of_scripted_cutoffs(self, monkeypatch):
         # Cutoffs in Hz per trial (rows) and bit depth 5..9 (columns); "usable"
@@ -248,6 +296,32 @@ class TestRunNoiseColorSweep:
         monkeypatch.undo()
         for alpha in alphas:
             assert sweep.n_min[alpha] == find_n_min(alpha, r, trials, seed, n), alpha
+
+    @pytest.mark.parametrize(
+        "alpha, r, trials, seed, n", [(1.5, (3, 6), 3, 40, 4096), (2.5, (5, 9), 2, 8, 5001)]
+    )
+    def test_cells_equal_those_of_one_shot_synthesis(self, alpha, r, trials, seed, n):
+        # The trials are synthesized through one workspace into one array;
+        # each cell's mean slope is that of one-shot syntheses, bit for bit.
+        cell, _ = noise_color_cells(alpha, r, trials, seed, n)
+        signals = [
+            synthesize(SynthesisSpec(alpha, n, REFERENCE_RATE_HZ, seed=seed + i))
+            for i in range(trials)
+        ]
+        for bits in range(r[0], r[1] + 1):
+            cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
+            expected = float(np.mean([measure_noise_slope(sig, cfg) for sig in signals]))
+            assert cell(bits).noise_slope == expected, bits
+
+    def test_spectral_shape_is_built_once_per_alpha(self, monkeypatch):
+        alphas = [0.5, 1.5, 2.5]
+        calls = []
+        build = noise._spectral_shape
+        monkeypatch.setattr(
+            noise, "_spectral_shape", lambda spec: calls.append(spec.alpha) or build(spec)
+        )
+        run_noise_color_sweep(alphas, (4, 6), trials=3, master_seed=1, n_samples=4096)
+        assert calls == alphas
 
     def test_defaults_are_the_cli_base(self):
         params = inspect.signature(find_n_min).parameters

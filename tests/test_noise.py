@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -105,6 +106,31 @@ class TestSynthesize:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             SynthesisSpec(**kwargs)
+
+    @pytest.mark.parametrize("width", [1e-154, 1e-200, 5e-324])
+    def test_width_whose_square_is_not_normal_rejected(self, width):
+        # The Gaussian divides by 2 * width^2; at 0 its center bin is 0 / 0.
+        with pytest.raises(ValidationError, match=f"peak width {width} Hz is out of range"):
+            SynthesisSpec(2.0, 1000, 2000.0, peaks=(PeakSpec(100.0, width, 1.0),))
+
+    def test_width_near_the_smallest_accepted_synthesizes_without_warnings(self):
+        # Far from the center the exponent overflows to -inf, so exp gives 0.
+        peak = PeakSpec(100.0, 1.1e-154, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = synthesize(SynthesisSpec(2.0, 1000, 2000.0, peaks=(peak,))).samples
+        assert np.abs(samples).max() == 1.0
+
+    def test_peak_gain_counts_toward_the_upper_limit(self):
+        # Bare, the largest bin is 2^830.5, inside 2^(1024 - log2 n); the
+        # peak raises it by 2^498.3, past that.
+        SynthesisSpec(100.0, 1000, 0.01, peaks=(PeakSpec(0.001, 0.0001, 1.0),))
+        with pytest.raises(
+            ValidationError,
+            match=r"is 2\^830\.5, and peaks with amplitude factors summing to 1e\+300 raise "
+            r"a bin by up to 2\^498\.3$",
+        ):
+            SynthesisSpec(100.0, 1000, 0.01, peaks=(PeakSpec(0.001, 0.0001, 1e300),))
 
 
 def hand_fixed_synthesis(spec: SynthesisSpec) -> np.ndarray:
@@ -232,15 +258,31 @@ def test_synthesis_holds_under_three_records(traced_peak):
     n=st.integers(16, 4096),
     log10_fs=st.floats(-3.0, 9.0),
     seed=st.integers(0, 2**32 - 1),
+    peak=st.none()
+    | st.tuples(st.floats(0.0, 0.99), st.floats(-330.0, 0.0), st.floats(-10.0, 308.0)),
 )
+@example(alpha=2.0, n=1000, log10_fs=math.log10(2000.0), seed=0, peak=(0.1, -202.0, 0.0))
+@example(alpha=100.0, n=1000, log10_fs=-2.0, seed=0, peak=(0.2, -2.0, 300.0))
 @settings(max_examples=200, deadline=None)
-def test_every_accepted_spec_synthesizes_finite_samples_with_peak_one(alpha, n, log10_fs, seed):
+def test_every_accepted_spec_synthesizes_finite_samples_with_peak_one(
+    alpha, n, log10_fs, seed, peak
+):
     # A spectrum whose bins all underflowed was normalized by dividing 0
     # by 0, and one whose bins were too large overflowed in the inverse FFT.
+    # A peak's gain could push the bins past the float range, and a width
+    # whose square underflowed divided 0 by 0 at the center bin. ``peak``
+    # is (center / Nyquist, log10(width / Nyquist), log10(amplitude factor)).
+    fs = 10.0**log10_fs
+    peaks = ()
+    if peak is not None:
+        nyquist = fs / 2.0
+        peaks = (PeakSpec(peak[0] * nyquist, 10.0 ** peak[1] * nyquist, 10.0 ** peak[2]),)
     try:
-        spec = SynthesisSpec(alpha, n, 10.0**log10_fs, seed=seed)
+        spec = SynthesisSpec(alpha, n, fs, seed=seed, peaks=peaks)
     except ValidationError as exc:
-        assert str(exc).startswith(f"the spectrum at alpha={alpha}, n={n} and f_s=")
+        assert str(exc).startswith(
+            (f"the spectrum at alpha={alpha}, n={n} and f_s=", "peak ")
+        )
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -174,6 +174,19 @@ class TestIncrementBits:
         shifted = Signal(sig.samples + 0.3, sig.sample_rate_hz)
         assert increment_bits(shifted, 2.0) == pytest.approx(increment_bits(sig, 2.0), abs=1e-9)
 
+    @given(
+        n=st.integers(2, 5000),
+        seed=st.integers(0, 2**32 - 1),
+        log10_level=st.floats(-100.0, 100.0),
+        full_scale=st.floats(1e-3, 1e3),
+    )
+    def test_matches_the_rms_of_the_increments(self, n, seed, log10_level, full_scale):
+        x = 10.0**log10_level * np.random.default_rng(seed).standard_normal(n).cumsum()
+        b = increment_bits(Signal(x, 100.0), full_scale)
+        assert b == pytest.approx(
+            np.log2(full_scale / np.sqrt(np.mean(np.diff(x) ** 2))), abs=1e-12
+        )
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 3.0])
     def test_halving_the_record_adds_one_bit(self, alpha):
         sig = synthesize(SynthesisSpec(alpha, 4096, 2000.0, seed=9))
