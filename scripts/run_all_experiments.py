@@ -10,7 +10,9 @@ eeg-proxy.f64, then quantized at 4, 6 and 8 bits).
 Every experiment is a quantband CLI command, echoed and then run in this
 process through ``quantband.cli.main``, so the console lines are the
 CLI's own. A command that fails does not stop the battery; the script
-exits 2 if any command exited 2 (bad arguments), and 0 otherwise.
+exits with the largest exit code of any command: 2 if some command's
+arguments were rejected, else 1 if some command failed at run time, and
+0 if every command succeeded.
 
 Usage: python scripts/run_all_experiments.py [--out results] [--seed 1234]
 """
@@ -22,7 +24,6 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from quantband.cli import EXIT_USAGE
 from quantband.cli import main as quantband
 from quantband.experiments import DEFAULT_SEED, VALIDATION_PRESETS
 
@@ -75,7 +76,7 @@ def main() -> int:
     codes = [run(argv) for argv in battery]
     failed = sum(code != 0 for code in codes)
     print(f"\nreports written to {args.out}/; {failed} of {len(battery)} commands failed")
-    return EXIT_USAGE if EXIT_USAGE in codes else 0
+    return max(codes)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """End-to-end experiment runners and their report types.
 
-Each runner is deterministic under a fixed master seed: trial i always
-uses seed master_seed + i.
+Each runner is deterministic under a fixed master seed: its trial i is
+synthesized at seed master_seed + i, by ``noise.trial_signals``.
 """
 
 from __future__ import annotations
@@ -10,16 +10,15 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import NoMeasurableBandError, NoUsableBandError, ValidationError, check_positive
+from .errors import NoMeasurableBandError, NoUsableBandError, ValidationError
 from .noise import (
     REFERENCE_RATE_HZ,
     PeakSpec,
     Signal,
     SYNTH_FULL_SCALE,
     SynthesisSpec,
-    SynthesisWorkspace,
     reference_rate_scale,
-    synthesize,
+    trial_signals,
 )
 from .quantizer import (
     QuantizerConfig,
@@ -95,23 +94,28 @@ class ValidationConfig:
         object.__setattr__(self, "peaks", tuple(self.peaks))
         if self.floor_method not in (FLOOR_THEORETICAL, FLOOR_EMPIRICAL):
             raise ValidationError(f"unknown floor method {self.floor_method!r}")
-        # A bad alpha, rate, length, peak or level fails here, before any
-        # trial is synthesized.
+        # A bad alpha, rate, length, level, seed or peak fails here, before
+        # any trial is synthesized.
         scaling_ratio(self.alpha)
-        check_positive(self.sample_rate_hz, "sample rate")
         check_fit_samples(self.n_samples)
-        for peak in self.peaks:
-            peak.validate(self.sample_rate_hz)
         # Each trial's record spans 2 * reference_rate_scale; outside the
         # ranges a quantizer takes, its PSD overflows or underflows.
         check_span(
             2.0 * reference_rate_scale(self.alpha, self.sample_rate_hz),
             f"the span of each record at alpha={self.alpha} and f_s={self.sample_rate_hz} Hz",
         )
+        self.spec  # its SynthesisSpec checks the seed and every peak
 
     @property
     def bits(self) -> list[int]:
         return list(range(self.bit_range[0], self.bit_range[1] + 1))
+
+    @property
+    def spec(self) -> SynthesisSpec:
+        """Trial 0's synthesis, from which ``trial_signals`` draws the run's trials."""
+        return SynthesisSpec(
+            self.alpha, self.n_samples, self.sample_rate_hz, self.master_seed, self.peaks
+        )
 
 
 @dataclass(frozen=True)
@@ -163,15 +167,15 @@ def _fitted_cutoff(fit: SpectralFit, sample_rate_hz: float, cfg: QuantizerConfig
     return predicted_cutoff(fit.alpha_hat, fit.s0_hat, sample_rate_hz, cfg).f_c_hz
 
 
-def _trial_cutoffs(cfg: ValidationConfig, trial: int, workspace: SynthesisWorkspace) -> np.ndarray:
+def _trial_cutoffs(cfg: ValidationConfig, signal: Signal) -> np.ndarray:
     """Detected sub-Nyquist cutoff at each of ``cfg.bits`` for one trial, NaN where dropped.
 
-    The signal level is fixed in physical units, not per signal: the
-    trial's synthesis is scaled by ``reference_rate_scale``, so every rate
-    sees the process whose record at the reference rate spans the range
-    R = SYNTH_FULL_SCALE, and R stays fixed. A higher f_s then lowers the
-    floor delta^2 / (6 f_s) against the same S0 and moves the cutoffs
-    away from the Nyquist frequency. With the range set from each
+    The signal level is fixed in physical units, not per signal: each
+    trial from ``trial_signals`` is scaled by ``reference_rate_scale``, so
+    every rate sees the process whose record at the reference rate spans
+    the range R = SYNTH_FULL_SCALE, and R stays fixed. A higher f_s then
+    lowers the floor delta^2 / (6 f_s) against the same S0 and moves the
+    cutoffs away from the Nyquist frequency. With the range set from each
     signal's own peak, f_s would cancel from every cutoff's position
     relative to Nyquist.
 
@@ -181,15 +185,8 @@ def _trial_cutoffs(cfg: ValidationConfig, trial: int, workspace: SynthesisWorksp
     the floor buries the whole PSD. The closed-form test needs no floor,
     so it comes first: a depth it drops is never quantized, estimated or
     detected.
-
-    The trial synthesizes ``workspace``'s spec at its own seed into the
-    workspace's record and scales it there.
     """
     nyquist = cfg.sample_rate_hz / 2.0
-    spec = replace(workspace.spec, seed=cfg.master_seed + trial)
-    samples = synthesize(spec, workspace).samples
-    samples *= reference_rate_scale(cfg.alpha, cfg.sample_rate_hz)
-    signal = Signal(samples, cfg.sample_rate_hz)
     psd = record_psd(signal)
     fit = fit_slope(psd)
 
@@ -220,14 +217,9 @@ def run_validation(cfg: ValidationConfig) -> ValidationReport:
     comes from the quantized signal's own PSD) into one (trial, bits)
     array, NaN where the trial dropped the depth. The ratio of consecutive
     depths counts only in the trials that kept both.
-
-    Every trial synthesizes into one workspace, built once per run.
     """
     predicted = scaling_ratio(cfg.alpha)
-    workspace = SynthesisWorkspace(
-        SynthesisSpec(cfg.alpha, cfg.n_samples, cfg.sample_rate_hz, peaks=cfg.peaks)
-    )
-    f_c = np.array([_trial_cutoffs(cfg, i, workspace) for i in range(cfg.trials)])
+    f_c = np.array([_trial_cutoffs(cfg, sig) for sig in trial_signals(cfg.spec, cfg.trials)])
     per_bit = [
         BitCutoffStats(
             bits=bits,
@@ -299,19 +291,18 @@ def run_noise_color_sweep(
     """Mean quantization-noise slope over an (alpha, bits) grid.
 
     Whiteness at each cell is judged on the mean slope across trials. The
-    grid, the record length and every alpha are checked before any trial
-    is synthesized. Each alpha's ``noise_color_cells`` gives its n_min,
+    grid, the record length and every alpha's spec are checked before any
+    trial is synthesized. Each alpha's ``noise_color_cells`` gives its n_min,
     the answer ``find_n_min`` returns, and its memoized ``cell``, which is
     then asked for every depth in order: the cells the search computed
     are reused, not refitted.
     """
     n_lo, n_hi = check_grid(bit_range, trials)
     check_fit_samples(n_samples)
-    for alpha in alphas:
-        SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ)  # raises on a bad alpha
+    specs = [SynthesisSpec(a, n_samples, REFERENCE_RATE_HZ, seed=master_seed) for a in alphas]
     cells, n_min = [], {}
-    for alpha in alphas:
-        cell, n_min[alpha] = noise_color_cells(alpha, bit_range, trials, master_seed, n_samples)
+    for spec in specs:
+        cell, n_min[spec.alpha] = noise_color_cells(spec, bit_range, trials)
         cells.extend(cell(bits) for bits in range(n_lo, n_hi + 1))
         del cell  # drops this alpha's trials before the next alpha's are synthesized
     return NoiseColorSweepReport(
@@ -356,8 +347,7 @@ def run_sensitivity(cfg: ValidationConfig, perturbations: list[float]) -> Sensit
     delta = 0 reproduces the baseline error.
     """
     for delta in perturbations:
-        if cfg.alpha + delta <= 0:
-            raise ValidationError(f"perturbation {delta} makes alpha nonpositive")
+        scaling_ratio(cfg.alpha + delta)
     measured = run_validation(cfg).measured_ratio_mean
 
     def row(delta: float) -> SensitivityRow:

@@ -54,6 +54,10 @@ class SignalFileSpec:
         check_positive(self.sample_rate_hz, "sample rate")
         if self.channel_index < 0:
             raise ValidationError(f"channel index must be >= 0, got {self.channel_index}")
+        if self.format == FORMAT_RAW and self.channel_index != 0:
+            raise ValidationError(
+                f"a raw file has one channel; channel index must be 0, got {self.channel_index}"
+            )
 
 
 def _parse_csv_row(line: str, channel: int, row: int, path: str) -> float:

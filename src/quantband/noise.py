@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,6 +112,8 @@ class SynthesisSpec:
             raise ValidationError(f"n_samples must be an integer >= 16, got {self.n_samples}")
         object.__setattr__(self, "n_samples", int(self.n_samples))
         check_positive(self.sample_rate_hz, "sample rate")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for peak in self.peaks:
             peak.validate(self.sample_rate_hz)
         # The largest bin amplitude, (f_s / n)^(-alpha / 2), in bits. The
@@ -171,7 +174,6 @@ class SynthesisWorkspace:
     """
 
     def __init__(self, spec: SynthesisSpec):
-        self.spec = spec
         self.shape = _spectral_shape(spec)
         self.spectrum = np.empty(self.shape.size, dtype=np.complex128)
         self.record = np.empty(spec.n_samples)
@@ -199,8 +201,6 @@ def synthesize(spec: SynthesisSpec, workspace: SynthesisWorkspace | None = None)
         spectrum = np.empty(shape.size, dtype=np.complex128)
         record = noise = None
     else:
-        if replace(spec, seed=workspace.spec.seed) != workspace.spec:
-            raise ValidationError(f"workspace built for {workspace.spec} cannot synthesize {spec}")
         shape, spectrum, record = workspace.shape, workspace.spectrum, workspace.record
         noise = record[: shape.size]
     for half in (spectrum.real, spectrum.imag):
@@ -233,3 +233,19 @@ def reference_rate_scale(alpha: float, sample_rate_hz: float) -> float:
         return float((REFERENCE_RATE_HZ / sample_rate_hz) ** ((alpha - 1.0) / 2.0))
     except OverflowError:
         return float("inf")
+
+
+def trial_signals(spec: SynthesisSpec, trials: int) -> Iterator[Signal]:
+    """The trials of a Monte Carlo run: trial i is ``spec`` at seed ``spec.seed + i``.
+
+    Each is synthesized through one ``SynthesisWorkspace`` per call and
+    scaled in place by ``reference_rate_scale``, exactly 1.0 at
+    REFERENCE_RATE_HZ. A yielded signal aliases the workspace record until
+    the next trial is drawn, so a caller that keeps a trial copies it.
+    """
+    workspace = SynthesisWorkspace(spec)
+    scale = reference_rate_scale(spec.alpha, spec.sample_rate_hz)
+    for i in range(trials):
+        samples = synthesize(replace(spec, seed=spec.seed + i), workspace).samples
+        samples *= scale
+        yield Signal(samples, spec.sample_rate_hz)

@@ -10,20 +10,13 @@ quantization error itself is spectrally white.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .errors import NoUsableBandError, ValidationError, check_positive
-from .noise import (
-    REFERENCE_RATE_HZ,
-    Signal,
-    SYNTH_FULL_SCALE,
-    SynthesisSpec,
-    SynthesisWorkspace,
-    synthesize,
-)
+from .noise import REFERENCE_RATE_HZ, SYNTH_FULL_SCALE, Signal, SynthesisSpec, trial_signals
 from .quantizer import (
     MAX_BITS,
     QuantizerConfig,
@@ -94,9 +87,9 @@ def check_grid(bit_range: tuple[int, int], trials: int) -> tuple[int, int]:
 
 
 def scaling_ratio(alpha: float) -> float:
-    """Bandwidth gained per additional bit: 2^(2/alpha)."""
-    if not (alpha > 0 and np.isfinite(alpha)):
-        raise ValidationError(f"scaling law undefined for alpha = {alpha}")
+    """Bandwidth gained per additional bit: 2^(2/alpha), a finite float for alpha > 2/1024."""
+    if not (alpha > 2.0 / np.finfo(np.float64).maxexp and np.isfinite(alpha)):
+        raise ValidationError(f"alpha must be finite and > 2/1024, got {alpha}")
     return float(2.0 ** (2.0 / alpha))
 
 
@@ -222,22 +215,18 @@ def _first_white(white_at: Callable[[int], bool], start: int, lo: int, hi: int) 
 
 
 def noise_color_cells(
-    alpha: float,
+    spec: SynthesisSpec,
     bit_range: tuple[int, int],
     trials: int,
-    master_seed: int,
-    n_samples: int,
 ) -> tuple[Callable[[int], NoiseColorCell], int | None]:
-    """The noise-color cells of one alpha, computed when asked for, and its N_min.
+    """The noise-color cells of one spec's alpha, computed when asked for, and its N_min.
 
     Returns ``(cell, n_min)``. ``cell(bits)`` is the cell of one depth,
     white when the mean slope over the trials ``is_white``; it is
-    memoized, so each depth is computed once, when first asked for.
-    Trial i (seed master_seed + i) is synthesized once, here, through one
-    ``SynthesisWorkspace`` into row i of one (trials, n_samples) array,
-    which the cells hold; the workspace is dropped before any cell is
-    fitted. Synthesis peak-normalizes, so the sample rate changes no
-    sample and no slope: every trial runs at REFERENCE_RATE_HZ.
+    memoized, so each depth is computed once, when first asked for. Trial
+    i of ``trial_signals(spec, trials)`` is copied into row i of one
+    (trials, n_samples) array, which the cells hold. The runners' specs
+    are at REFERENCE_RATE_HZ, where each record spans SYNTH_FULL_SCALE.
 
     ``n_min`` is what the search finds through ``cell``: it computes
     depth ceil(b - N_MIN_OFFSET) first, b the trials' mean
@@ -246,21 +235,19 @@ def noise_color_cells(
     ``_first_white``).
     """
     n_lo, n_hi = check_grid(bit_range, trials)
-    check_fit_samples(n_samples)
-    spec = SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ)
-    workspace = SynthesisWorkspace(spec)
-    records = np.empty((trials, n_samples))
-    for i, record in enumerate(records):
-        record[:] = synthesize(replace(spec, seed=master_seed + i), workspace).samples
-    del workspace  # its shape, spectrum and record are not held while cells are fitted
-    signals = [Signal(record, REFERENCE_RATE_HZ) for record in records]
+    check_fit_samples(spec.n_samples)
+    records = np.empty((trials, spec.n_samples))
+    # enumerate, not zip: the source runs to its end, and so frees its workspace.
+    for i, signal in enumerate(trial_signals(spec, trials)):
+        records[i] = signal.samples
+    signals = [Signal(record, spec.sample_rate_hz) for record in records]
     b_mean = np.mean([increment_bits(sig, SYNTH_FULL_SCALE) for sig in signals])
 
     @cache
     def cell(bits: int) -> NoiseColorCell:
         cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
         mean_slope = float(np.mean([measure_noise_slope(sig, cfg) for sig in signals]))
-        return NoiseColorCell(alpha, bits, mean_slope, is_white(mean_slope))
+        return NoiseColorCell(spec.alpha, bits, mean_slope, is_white(mean_slope))
 
     start = int(np.clip(np.ceil(b_mean - N_MIN_OFFSET), n_lo, n_hi))
     return cell, _first_white(lambda bits: cell(bits).is_white, start, n_lo, n_hi)
@@ -284,4 +271,6 @@ def find_n_min(
     checked record of 4,096 samples or more; in single-segment records of
     a few hundred samples it is not, and the two can differ.
     """
-    return noise_color_cells(alpha, bit_range, trials, master_seed, n_samples)[1]
+    check_fit_samples(n_samples)  # names the fit's bound, not only the spec's 16 samples
+    spec = SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ, seed=master_seed)
+    return noise_color_cells(spec, bit_range, trials)[1]

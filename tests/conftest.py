@@ -10,7 +10,7 @@ _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from quantband import experiments, scaling  # noqa: E402
+from quantband import noise, scaling  # noqa: E402
 from quantband.errors import QuantbandError  # noqa: E402
 from quantband.experiments import (  # noqa: E402
     DEFAULT_SEED,
@@ -81,16 +81,14 @@ def n_min_answers(n_min_battery):
 def synthesis_calls(monkeypatch):
     """The spec of every trial the runners synthesize, in order.
 
-    Patches ``synthesize`` where the validation runners (``experiments``)
-    and the noise-color search (``scaling``) look it up; each call still
-    synthesizes.
+    Patches ``noise.synthesize``, which ``noise.trial_signals``, the one
+    source of every runner's trials, looks up; each call still synthesizes.
     """
     calls = []
-    for module in (experiments, scaling):
-        monkeypatch.setattr(
-            module, "synthesize",
-            lambda spec, *rest, f=module.synthesize: calls.append(spec) or f(spec, *rest),
-        )
+    monkeypatch.setattr(
+        noise, "synthesize",
+        lambda spec, *rest, f=noise.synthesize: calls.append(spec) or f(spec, *rest),
+    )
     return calls
 
 

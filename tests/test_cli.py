@@ -260,6 +260,15 @@ class TestAnalyze:
         )
         assert (code, stdout, err) == (2, "", "error: channel index must be >= 0, got -1\n")
 
+    def test_channel_of_a_raw_file_exits_two(self, alpha2_file, capsys):
+        # A raw file has one channel; any other index was silently ignored.
+        code, stdout, err = run(
+            capsys, "analyze", "--in", str(alpha2_file), "--fs", "2000", "--bits", "8",
+            "--channel", "3",
+        )
+        assert (code, stdout) == (2, "")
+        assert err == "error: a raw file has one channel; channel index must be 0, got 3\n"
+
     def test_empty_raw_file_exits_one(self, tmp_path, capsys):
         empty = tmp_path / "empty.f64"
         empty.write_bytes(b"")
@@ -516,6 +525,8 @@ def test_colon_flag_errors_quote_the_flag(argv, message, tmp_path, capsys):
         (["validate", "--n", "40"], 40),
         (["validate", "--n", "75"], 75),
         (["nmin", "--alpha", "2", "--n", "40"], 40),
+        (["nmin", "--alpha", "2", "--n", "10"], 10),
+        (["noise-color", "--alpha", "2", "--n", "10"], 10),
     ],
 )
 def test_record_too_short_to_fit_exits_two_naming_its_length(
@@ -549,6 +560,54 @@ def test_bad_peak_fails_before_any_trial(tmp_path, capsys, synthesis_calls):
         "error: peak at 999.0 Hz with width 10.0 Hz extends past the Nyquist frequency 1000.0 Hz\n"
     )
     assert synthesis_calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--alpha", "2", "--fs", "1000", "--n", "1000"],
+        ["validate", "--trials", "2", "--n", "20000"],
+        ["sensitivity", "--trials", "2", "--n", "20000"],
+        ["peaks", "--trials", "2", "--n", "20000"],
+        ["noise-color", "--alpha", "2", "--trials", "2", "--n", "5000"],
+        ["nmin", "--alpha", "2", "--trials", "2", "--n", "5000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_two_before_any_trial(argv, tmp_path, capsys, synthesis_calls):
+    # numpy's generator rejected the seed inside the first trial, with a traceback.
+    out = tmp_path / "out.csv"
+    if argv[0] != "nmin":
+        argv = [*argv, "--out", str(out)]
+    code, stdout, err = run(capsys, *argv, "--seed", "-1")
+    assert (code, stdout, err) == (2, "", "error: seed must be >= 0, got -1\n")
+    assert synthesis_calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, alpha",
+    [
+        (["validate", "--alpha", "0.001"], 0.001),
+        (["sensitivity", "--delta", "-1.999"], 2.0 - 1.999),
+        *(
+            (["sensitivity", f"--delta={d}"], 2.0 + float(d))
+            for d in ("nan", "inf", "-inf", "-2")
+        ),
+    ],
+)
+def test_alpha_without_a_finite_scaling_ratio_exits_two_before_any_trial(
+    argv, alpha, tmp_path, capsys, synthesis_calls
+):
+    # 2 ** (2 / alpha) raised OverflowError; sensitivity checked each
+    # perturbed alpha only for <= 0, so nan and inf failed after the whole
+    # validation run.
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, *argv, "--trials", "1", "--n", "2000", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: alpha must be finite and > 2/1024, got {alpha}\n"
+    assert synthesis_calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -782,17 +841,35 @@ class TestBaseConfigs:
         assert exc.value.args[0] == expected
 
 
-def test_battery_script_commands_parse():
+def _battery_script():
     spec = importlib.util.spec_from_file_location(
         "run_all_experiments", REPO / "scripts" / "run_all_experiments.py"
     )
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_battery_script_commands_parse():
+    script = _battery_script()
     battery = script.commands("results", "1234")
     assert battery
     parser = build_parser()
     for argv in battery:
         parser.parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "codes, expected", [({}, 0), ({"synth": 1}, 1), ({"synth": 1, "nmin": 2}, 2)]
+)
+def test_battery_script_exits_with_the_worst_command_code(
+    codes, expected, tmp_path, monkeypatch, capsys
+):
+    # A command that failed at run time (exit 1) once left the script at 0.
+    script = _battery_script()
+    monkeypatch.setattr(script, "quantband", lambda argv: codes.get(argv[0], 0))
+    monkeypatch.setattr(sys, "argv", ["run_all_experiments.py", "--out", str(tmp_path)])
+    assert script.main() == expected
 
 
 class TestColdStart:

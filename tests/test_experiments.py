@@ -48,6 +48,13 @@ class TestRunValidation:
     def test_deterministic(self):
         assert run_validation(SMALL) == run_validation(SMALL)
 
+    def test_spectral_shape_is_built_once_per_run(self, monkeypatch):
+        calls = []
+        build = noise._spectral_shape
+        monkeypatch.setattr(noise, "_spectral_shape", lambda spec: calls.append(spec) or build(spec))
+        run_validation(SMALL)
+        assert calls == [SMALL.spec]
+
     def test_report_shape(self):
         rep = run_validation(SMALL)
         assert rep.predicted_ratio == 2.0
@@ -303,7 +310,7 @@ class TestRunNoiseColorSweep:
     def test_cells_equal_those_of_one_shot_synthesis(self, alpha, r, trials, seed, n):
         # The trials are synthesized through one workspace into one array;
         # each cell's mean slope is that of one-shot syntheses, bit for bit.
-        cell, _ = noise_color_cells(alpha, r, trials, seed, n)
+        cell, _ = noise_color_cells(SynthesisSpec(alpha, n, REFERENCE_RATE_HZ, seed=seed), r, trials)
         signals = [
             synthesize(SynthesisSpec(alpha, n, REFERENCE_RATE_HZ, seed=seed + i))
             for i in range(trials)

@@ -328,6 +328,11 @@ class TestWriteSignal:
         with pytest.raises(ValidationError):
             SignalFileSpec("x.bin", "parquet", 100.0)
 
+    def test_raw_channel_other_than_zero_rejected(self):
+        SignalFileSpec("x.f64", FORMAT_RAW, 100.0, channel_index=0)
+        with pytest.raises(ValidationError, match="channel index must be 0, got 3$"):
+            SignalFileSpec("x.f64", FORMAT_RAW, 100.0, channel_index=3)
+
 
 SMALL = ValidationConfig(
     alpha=2.0, sample_rate_hz=2000.0, n_samples=30_000, bit_range=(5, 6), trials=2

@@ -13,9 +13,9 @@ from quantband.noise import (
     PeakSpec,
     Signal,
     SynthesisSpec,
-    SynthesisWorkspace,
     reference_rate_scale,
     synthesize,
+    trial_signals,
 )
 from quantband.spectral import fit_slope, record_psd, welch_psd
 
@@ -93,6 +93,7 @@ class TestSynthesize:
             dict(alpha=float("nan"), n_samples=4096, sample_rate_hz=2000.0),
             dict(alpha=1.0, n_samples=8, sample_rate_hz=2000.0),
             dict(alpha=1.0, n_samples=4096, sample_rate_hz=0.0),
+            dict(alpha=1.0, n_samples=4096, sample_rate_hz=2000.0, seed=-1),
             dict(
                 alpha=1.0, n_samples=4096, sample_rate_hz=2000.0,
                 peaks=(PeakSpec(999.0, 10.0, 1.0),),
@@ -222,27 +223,25 @@ def test_synthesis_bits_equal_the_complex_product(n, alpha, seed, peak):
 @given(
     n=st.integers(16, 4097),
     alpha=st.floats(0.0, 3.0),
+    fs=st.sampled_from([REFERENCE_RATE_HZ, 20_000.0, 200_000.0]),
     seed=st.integers(0, 2**32 - 4),
     peak=st.none()
     | st.tuples(st.floats(10.0, 600.0), st.floats(1.0, 100.0), st.floats(0.0, 100.0)),
 )
 @settings(max_examples=100, deadline=None)
-def test_workspace_synthesis_equals_one_shot(n, alpha, seed, peak):
+def test_workspace_synthesis_equals_one_shot(n, alpha, fs, seed, peak):
     # Consecutive seeds through one workspace: a buffer one synthesis left
     # stale would show in the next one's bytes.
-    spec = SynthesisSpec(alpha, n, 2000.0, peaks=() if peak is None else (PeakSpec(*peak),))
-    workspace = SynthesisWorkspace(spec)
-    for trial in range(seed, seed + 3):
-        trial_spec = replace(spec, seed=trial)
-        samples = synthesize(trial_spec, workspace).samples
-        assert np.shares_memory(samples, workspace.record)
-        assert samples.tobytes() == synthesize(trial_spec).samples.tobytes()
-
-
-def test_workspace_rejects_another_spec():
-    workspace = SynthesisWorkspace(SynthesisSpec(2.0, 4096, 2000.0))
-    with pytest.raises(ValidationError, match="workspace built for"):
-        synthesize(SynthesisSpec(2.0, 4097, 2000.0), workspace)
+    spec = SynthesisSpec(alpha, n, fs, seed=seed, peaks=() if peak is None else (PeakSpec(*peak),))
+    scale = reference_rate_scale(alpha, fs)
+    buffers = []
+    for i, signal in enumerate(trial_signals(spec, 3)):
+        one_shot = synthesize(replace(spec, seed=spec.seed + i)).samples * scale
+        assert signal.samples.tobytes() == one_shot.tobytes()
+        assert signal.sample_rate_hz == fs
+        buffers.append(signal.samples)
+    assert len(buffers) == 3
+    assert all(np.shares_memory(buffers[0], samples) for samples in buffers[1:])
 
 
 def test_synthesis_holds_under_three_records(traced_peak):

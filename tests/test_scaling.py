@@ -50,6 +50,13 @@ class TestScalingRatio:
         with pytest.raises(ValidationError):
             scaling_ratio(alpha)
 
+    def test_rejects_an_alpha_whose_ratio_overflows(self):
+        # 2^(2/alpha) is past the float range from alpha = 2/1024 down.
+        assert scaling_ratio(np.nextafter(2.0 / 1024, 1.0)) < math.inf
+        with pytest.raises(ValidationError) as exc:
+            scaling_ratio(2.0 / 1024)
+        assert str(exc.value) == "alpha must be finite and > 2/1024, got 0.001953125"
+
 
 class TestPredictedCutoff:
     def test_hand_example_alpha_two(self):
