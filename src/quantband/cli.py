@@ -281,10 +281,7 @@ def _add_grid(parser: argparse.ArgumentParser, **alpha) -> None:
     parser.add_argument("--n", dest="n_samples", type=int, metavar="N", help="samples per trial")
     parser.add_argument("--bits", dest="bit_range", metavar="BITS", help="bit range lo:hi")
     parser.add_argument("--trials", type=int)
-    parser.add_argument(
-        "--seed", dest="master_seed", type=int, default=DEFAULT_SEED, metavar="SEED",
-        help="master seed",
-    )
+    parser.add_argument("--seed", dest="master_seed", type=int, metavar="SEED", help="master seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = experiment_parser(
         "sensitivity", "scaling prediction error under perturbed alpha", cmd_sensitivity
     )
-    p.add_argument("--delta", type=float, action="append", help="alpha perturbation (repeatable)")
+    p.add_argument(
+        "--delta", type=float, action="append",
+        help="alpha perturbation (repeatable); give -1e-3 or -inf as --delta=-1e-3, --delta=-inf",
+    )
     p = experiment_parser("peaks", "validation error with spectral peaks injected", cmd_peaks)
     p.add_argument("--peak", action="append", metavar="C:W:A", help="repeatable")
 

@@ -558,6 +558,7 @@ NOISE_COLOR_DEFAULTS = {
     "bit_range": (4, 12),
     "trials": 20,
     "n_samples": NOISE_COLOR_N_SAMPLES,
+    "master_seed": DEFAULT_SEED,
 }
 
 # Noise-color sweep presets: table 2 is alpha = 2 over bits 4-8.

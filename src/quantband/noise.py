@@ -165,12 +165,11 @@ def _spectral_shape(spec: SynthesisSpec) -> np.ndarray:
 
 
 class SynthesisWorkspace:
-    """Buffers shared by every synthesis of one spec with any seed.
+    """The buffers of a synthesis: the spectral shape, a complex spectrum, a record.
 
-    It holds the spectral shape, one complex spectrum and one record, so a
-    run of many seeds builds the shape once and allocates no record-sized
-    array per synthesis. ``synthesize(spec, workspace)`` overwrites the
-    record, which the signal it returns aliases.
+    ``synthesize`` draws into them and overwrites the record, which the
+    signal it returns aliases. A run of many seeds of one spec that passes
+    one workspace builds the shape once and allocates no record per seed.
     """
 
     def __init__(self, spec: SynthesisSpec):
@@ -186,23 +185,20 @@ def synthesize(spec: SynthesisSpec, workspace: SynthesisWorkspace | None = None)
     The output is zero-mean with max |sample| = 1 at any sample rate; see
     ``reference_rate_scale`` for a level fixed in physical units.
 
-    Each spectral half is written straight into the complex spectrum. The
-    bits are those of ``(re + 1j * im) * shape`` normalized by
-    ``max(abs(x))``: a real factor scales each half exactly. Without a
-    workspace every array is dropped once used, so at most the record and
-    a spectrum are held at once. With a ``workspace`` built for the spec
-    at any seed, the draws, the spectrum and the record are its buffers,
-    and the returned samples alias ``workspace.record`` until the next
-    synthesis into it; the bits are the same.
+    The buffers are those of ``workspace``, built for the spec at any seed,
+    or of a workspace built for this call alone. Each half of the spectrum
+    is drawn into the head of the record and scaled into the spectrum,
+    which is transformed into the record; the returned samples alias it
+    until the next synthesis into it. The bits are those of
+    ``(re + 1j * im) * shape`` normalized by ``max(abs(x))``: a real factor
+    scales each half exactly. A workspace built for one call frees its
+    shape before the transform, whose scratch then takes its place.
     """
     rng = np.random.default_rng(spec.seed)
-    if workspace is None:
-        shape = _spectral_shape(spec)
-        spectrum = np.empty(shape.size, dtype=np.complex128)
-        record = noise = None
-    else:
-        shape, spectrum, record = workspace.shape, workspace.spectrum, workspace.record
-        noise = record[: shape.size]
+    ws = SynthesisWorkspace(spec) if workspace is None else workspace
+    shape, spectrum, record = ws.shape, ws.spectrum, ws.record
+    del ws
+    noise = record[: shape.size]
     for half in (spectrum.real, spectrum.imag):
         np.multiply(rng.standard_normal(shape.size, out=noise), shape, out=half)
     del shape, noise

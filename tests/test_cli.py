@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,18 @@ class TestExperimentCommands:
         assert code == 0
         payload = json.loads(out.read_text())
         assert len(payload["report"]["rows"]) == 2
+
+    def test_negative_delta_in_exponent_form_after_equals(self, tmp_path, capsys):
+        # argparse reads "-1e-3" as an option, so the help names this form.
+        out = tmp_path / "sens.json"
+        code, _, err = run(
+            capsys, "sensitivity", "--delta=-1e-3", "--trials", "1", "--n", "4096",
+            "--bits", "7:8", "--out", str(out),
+        )
+        assert code == 0, err
+        [row] = json.loads(out.read_text())["report"]["rows"]
+        assert row["delta_alpha"] == -1e-3
+        assert row["perturbed_alpha"] == 2.0 - 1e-3
 
     def test_peaks_small(self, tmp_path, capsys):
         out = tmp_path / "peaks.json"
@@ -792,6 +805,19 @@ class _Resolved(Exception):
     pass
 
 
+def resolved_arguments(monkeypatch, runner: str, argv: list[str]) -> dict:
+    """The arguments ``main(argv)`` passes to ``cli.<runner>``, which does not run."""
+    signature = inspect.signature(getattr(quantband.cli, runner))
+
+    def resolved(*args, **kwargs):
+        raise _Resolved(signature.bind(*args, **kwargs).arguments)
+
+    monkeypatch.setattr(quantband.cli, runner, resolved)
+    with pytest.raises(_Resolved) as exc:
+        main(argv)
+    return exc.value.args[0]
+
+
 # Without a preset and with no grid flag given, each experiment command
 # runs these literal settings.
 VALIDATION_DEFAULTS = ValidationConfig(
@@ -830,15 +856,22 @@ class TestBaseConfigs:
         ],
     )
     def test_no_grid_flags_resolve_to_the_defaults(self, argv, runner, expected, monkeypatch):
-        signature = inspect.signature(getattr(quantband.cli, runner))
+        assert resolved_arguments(monkeypatch, runner, argv) == expected
 
-        def resolved(*args, **kwargs):
-            raise _Resolved(signature.bind(*args, **kwargs).arguments)
-
-        monkeypatch.setattr(quantband.cli, runner, resolved)
-        with pytest.raises(_Resolved) as exc:
-            main(argv)
-        assert exc.value.args[0] == expected
+    @pytest.mark.parametrize(
+        "command, base, runner, arg",
+        [
+            ("validate", "VALIDATION_BASE", "run_validation", "cfg"),
+            ("sensitivity", "VALIDATION_BASE", "run_sensitivity", "cfg"),
+            ("peaks", "PEAKS_BASE", "run_peak_robustness", "base"),
+        ],
+    )
+    @pytest.mark.parametrize("flags, seed", [([], 7), (["--seed", "9"], 9)])
+    def test_base_config_seed_applies_unless_seed_is_given(
+        self, command, base, runner, arg, flags, seed, monkeypatch
+    ):
+        monkeypatch.setattr(quantband.cli, base, replace(getattr(quantband.cli, base), master_seed=7))
+        assert resolved_arguments(monkeypatch, runner, [command, *flags])[arg].master_seed == seed
 
 
 def _battery_script():

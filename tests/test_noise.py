@@ -190,6 +190,26 @@ def test_synthesis_needs_no_hand_fixed_dc_or_nyquist_bin(spec):
     assert np.array_equal(synthesize(spec).samples, hand_fixed_synthesis(spec))
 
 
+def complex_product_synthesis(spec: SynthesisSpec) -> np.ndarray:
+    """The whole-record expression ``synthesize`` replaced: a complex
+    spectrum times the real shape, normalized by max |x|."""
+    rng = np.random.default_rng(spec.seed)
+    freqs = np.fft.rfftfreq(spec.n_samples, d=1.0 / spec.sample_rate_hz)
+    mult = np.ones_like(freqs[1:])
+    for p in spec.peaks:
+        mult += p.amplitude_factor * np.exp(
+            -((freqs[1:] - p.center_hz) ** 2) / (2.0 * p.width_hz**2)
+        )
+    shape = np.zeros(freqs.size)
+    shape[1:] = freqs[1:] ** (-spec.alpha / 2.0) * np.sqrt(mult)
+    re = rng.standard_normal(freqs.size)
+    im = rng.standard_normal(freqs.size)
+    x = np.fft.irfft((re + 1j * im) * shape, n=spec.n_samples)
+    x -= x.mean()
+    x /= np.max(np.abs(x))
+    return x
+
+
 @given(
     n=st.integers(16, 4097),
     alpha=st.floats(0.0, 3.0),
@@ -199,25 +219,10 @@ def test_synthesis_needs_no_hand_fixed_dc_or_nyquist_bin(spec):
 )
 @settings(max_examples=200, deadline=None)
 def test_synthesis_bits_equal_the_complex_product(n, alpha, seed, peak):
-    # The whole-record expression ``synthesize`` replaced: a complex
-    # spectrum times the real shape, normalized by max |x|.
-    fs = 2000.0
-    spec = SynthesisSpec(alpha, n, fs, seed=seed, peaks=() if peak is None else (PeakSpec(*peak),))
-    rng = np.random.default_rng(seed)
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    mult = np.ones_like(freqs[1:])
-    for p in spec.peaks:
-        mult += p.amplitude_factor * np.exp(
-            -((freqs[1:] - p.center_hz) ** 2) / (2.0 * p.width_hz**2)
-        )
-    shape = np.zeros(freqs.size)
-    shape[1:] = freqs[1:] ** (-alpha / 2.0) * np.sqrt(mult)
-    re = rng.standard_normal(freqs.size)
-    im = rng.standard_normal(freqs.size)
-    x = np.fft.irfft((re + 1j * im) * shape, n=n)
-    x -= x.mean()
-    x /= np.max(np.abs(x))
-    assert synthesize(spec).samples.tobytes() == x.tobytes()
+    spec = SynthesisSpec(
+        alpha, n, 2000.0, seed=seed, peaks=() if peak is None else (PeakSpec(*peak),)
+    )
+    assert synthesize(spec).samples.tobytes() == complex_product_synthesis(spec).tobytes()
 
 
 @given(
@@ -230,14 +235,15 @@ def test_synthesis_bits_equal_the_complex_product(n, alpha, seed, peak):
 )
 @settings(max_examples=100, deadline=None)
 def test_workspace_synthesis_equals_one_shot(n, alpha, fs, seed, peak):
-    # Consecutive seeds through one workspace: a buffer one synthesis left
+    # Consecutive seeds through one workspace, each against the
+    # whole-record expression at its seed: a buffer one synthesis left
     # stale would show in the next one's bytes.
     spec = SynthesisSpec(alpha, n, fs, seed=seed, peaks=() if peak is None else (PeakSpec(*peak),))
     scale = reference_rate_scale(alpha, fs)
     buffers = []
     for i, signal in enumerate(trial_signals(spec, 3)):
-        one_shot = synthesize(replace(spec, seed=spec.seed + i)).samples * scale
-        assert signal.samples.tobytes() == one_shot.tobytes()
+        expected = complex_product_synthesis(replace(spec, seed=spec.seed + i)) * scale
+        assert signal.samples.tobytes() == expected.tobytes()
         assert signal.sample_rate_hz == fs
         buffers.append(signal.samples)
     assert len(buffers) == 3
@@ -246,7 +252,8 @@ def test_workspace_synthesis_equals_one_shot(n, alpha, fs, seed, peak):
 
 def test_synthesis_holds_under_three_records(traced_peak):
     # The whole-record temporaries (re, im, their complex sum and product)
-    # held about 4 records of 8 * n bytes beside the output.
+    # held about 4 records of 8 * n bytes beside the output. Drawing holds
+    # 2.5: the record, the spectrum and the shape.
     n = 200_000
     spec = SynthesisSpec(2.0, n, 2000.0, seed=3, peaks=(PeakSpec(100.0, 20.0, 0.25),))
     assert traced_peak(synthesize, spec) <= 3 * 8 * n

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from quantband.errors import NoUsableBandError, ValidationError
 from quantband.noise import SynthesisSpec, synthesize
-from quantband.quantizer import QuantizerConfig, theoretical_noise_floor
+from quantband.quantizer import MAX_BITS, QuantizerConfig, theoretical_noise_floor
 from quantband.scaling import (
+    CROSSING_FIT_HALF_WIDTH,
     _first_white,
     detect_cutoff,
     find_n_min,
@@ -18,7 +19,7 @@ from quantband.scaling import (
     predicted_cutoff,
     scaling_ratio,
 )
-from quantband.spectral import Psd
+from quantband.spectral import Psd, fit_slope
 
 
 def power_law_psd(alpha, coeff=1.0, f_lo=0.5, f_hi=1000.0, df=0.5):
@@ -113,6 +114,26 @@ class TestPredictedCutoff:
         assert est.floor_value == theoretical_noise_floor(cfg, fs)
         assert est.exceeded_nyquist == (est.f_c_hz > fs / 2.0)
 
+    @given(
+        alpha=st.floats(0.3, 4.0),
+        log_s0=st.floats(-12, 3),
+        log_fs=st.floats(0, 6),
+        log_full_scale=st.floats(-3, 3),
+        bits=st.integers(1, MAX_BITS - 1),
+    )
+    @settings(max_examples=200)
+    def test_one_bit_buys_what_four_times_the_rate_buys(
+        self, alpha, log_s0, log_fs, log_full_scale, bits
+    ):
+        # f_c = (6 S_0 f_s 4^N / R^2)^(1/alpha): f_s and 4^N enter alike. Not
+        # bit-exact, since the floor squares the step through pow, which may
+        # round either side's floor by an ulp.
+        s0, fs, full_scale = 10.0**log_s0, 10.0**log_fs, 10.0**log_full_scale
+        faster = predicted_cutoff(alpha, s0, 4.0 * fs, QuantizerConfig(bits, full_scale))
+        deeper = predicted_cutoff(alpha, s0, fs, QuantizerConfig(bits + 1, full_scale))
+        assert math.isclose(faster.floor_value, deeper.floor_value, rel_tol=1e-15)
+        assert math.isclose(faster.f_c_hz, deeper.f_c_hz, rel_tol=1e-12)
+
     def test_floor_underflowing_to_zero_reads_inf(self):
         cfg = QuantizerConfig(bits=24, full_scale=1e-100)
         assert theoretical_noise_floor(cfg, 1e300) == 0.0
@@ -164,6 +185,21 @@ class TestDetectCutoff:
             ratios.append(detect_cutoff(psd, floor / 4).f_c_hz / detect_cutoff(psd, floor).f_c_hz)
         assert np.mean(ratios) == pytest.approx(scaling_ratio(alpha), rel=0.015)
 
+    def test_rising_local_fit_keeps_the_first_bin_below_the_floor(self):
+        # A 1 Hz dip under the floor, then a wall: the run below the floor
+        # starts at 19.9 Hz, where the smoothed log power first dips, and the
+        # local fit around it rises, so it has no falling crossing to refine.
+        freqs = np.arange(1, 2001) / 10.0
+        power = np.where(freqs < 20.0, 1.5, np.where(freqs <= 21.0, 0.5, 1e6))
+        psd = Psd(freqs, power, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = detect_cutoff(psd, 1.0)
+        assert est.f_c_hz == 19.9
+        assert not est.exceeded_nyquist
+        band = (19.9 / CROSSING_FIT_HALF_WIDTH, 19.9 * CROSSING_FIT_HALF_WIDTH)
+        assert fit_slope(psd, band).slope > 50.0
+
     def test_floor_below_everything_flags_nyquist(self):
         psd = power_law_psd(2.0)
         est = detect_cutoff(psd, float(psd.power.min()) / 10.0)
@@ -189,7 +225,7 @@ class TestDetectCutoff:
         # Detected cutoff on a synthetic signal should track the closed
         # form evaluated with the fitted slope and intercept.
         from quantband.quantizer import theoretical_noise_floor
-        from quantband.spectral import fit_slope, welch_psd
+        from quantband.spectral import welch_psd
 
         sig = synthesize(SynthesisSpec(2.0, 100_000, 2000.0, seed=2))
         psd = welch_psd(sig)

@@ -25,6 +25,28 @@ def power_law_psd(alpha: float, coeff: float = 1.0, f_lo=1.0, f_hi=1000.0, n=100
     return Psd(freqs, coeff * freqs ** (-alpha), float(freqs[1] - freqs[0]))
 
 
+class TestPsd:
+    @pytest.mark.parametrize(
+        "freqs, power, df, message",
+        [
+            ([1.0, 2.0, 3.0], [1.0, 1.0], 1.0, "differ in length"),
+            ([1.0], [1.0], 1.0, "strictly increasing and positive"),
+            ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], 1.0, "strictly increasing and positive"),
+            ([1.0, 3.0, 2.0], [1.0, 1.0, 1.0], 1.0, "strictly increasing and positive"),
+            ([1.0, 2.0, 2.0], [1.0, 1.0, 1.0], 1.0, "strictly increasing and positive"),
+            ([1.0, 2.0, 3.0], [1.0, np.nan, 1.0], 1.0, "finite and nonnegative"),
+            ([1.0, 2.0, 3.0], [1.0, np.inf, 1.0], 1.0, "finite and nonnegative"),
+            ([1.0, 2.0, 3.0], [1.0, -1e-300, 1.0], 1.0, "finite and nonnegative"),
+            ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 0.0, "bin width must be positive, got 0.0"),
+            ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], -1.0, "bin width must be positive, got -1.0"),
+            ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], np.nan, "bin width must be positive, got nan"),
+        ],
+    )
+    def test_rejects_an_invalid_grid(self, freqs, power, df, message):
+        with pytest.raises(ValidationError, match=message):
+            Psd(np.array(freqs), np.array(power), df)
+
+
 class TestWelchPsd:
     def test_white_noise_density_level(self):
         rng = np.random.default_rng(1)
@@ -269,6 +291,11 @@ class TestFitSlope:
         assert fit.slope == pytest.approx(-alpha, abs=1e-9)
         assert fit.intercept_log10 == pytest.approx(log_coeff, abs=1e-9)
         assert fit.rms_residual < 1e-9
+
+    @pytest.mark.parametrize("band", [(5.0, 5.0), (6.0, 5.0), (0.0, 5.0), (-1.0, 5.0)])
+    def test_invalid_band_rejected(self, band):
+        with pytest.raises(ValidationError, match=rf"invalid fit band \({band[0]}, {band[1]}\)"):
+            fit_slope(power_law_psd(1.0), band)
 
     def test_too_few_bins_rejected(self):
         with pytest.raises(ValidationError):
