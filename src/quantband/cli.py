@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from . import __version__
 from .errors import QuantbandError, ValidationError
 from .experiments import (
     DEFAULT_SEED,
-    NOISE_COLOR_DEFAULTS,
+    NOISE_COLOR_BASE,
     NOISE_COLOR_PRESETS,
     VALIDATION_PRESETS,
     analyze_signal,
@@ -53,12 +53,6 @@ PEAKS_BASE = replace(VALIDATION_BASE, sample_rate_hz=2000.0, bit_range=(5, 6))
 DEFAULT_PEAKS = (PeakSpec(10.0, 2.0, 50.0), PeakSpec(100.0, 20.0, 0.25))
 SENSITIVITY_DELTAS = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
 
-# The config fields that grid flags override; each flag's argparse dest is its field.
-GRID_FIELDS = (
-    "alpha", "alphas", "sample_rate_hz", "n_samples", "bit_range", "trials", "floor_method",
-    "master_seed",
-)
-
 
 def _colon_fields(text: str, converters: tuple, form: str, kind: str) -> tuple:
     """``text`` split on ":", field i converted by ``converters[i]``; errors quote ``text``."""
@@ -78,8 +72,8 @@ def _parse_peak(text: str) -> PeakSpec:
 
 def _parse_bit_range(text: str) -> tuple[int, int]:
     form, kind = "bit range must be lo:hi", "bit range fields must be integers"
-    fields = _colon_fields(text, (int, int) if ":" in text else (int,), form, kind)
-    return fields[0], fields[-1]  # a single depth N stands for N:N
+    depths = _colon_fields(text, (int, int) if ":" in text else (int,), form, kind)
+    return depths[0], depths[-1]  # a single depth N stands for N:N
 
 
 def _parse_band(text: str) -> tuple[str, float, float]:
@@ -128,26 +122,22 @@ def _load_signal(args) -> tuple[Signal, QuantizerConfig]:
     return signal, QuantizerConfig(bits=args.bits, full_scale=full_scale)
 
 
-def _config(args, presets: dict, base):
-    """The run's config: the --preset entry of ``presets`` (``base`` if none is
-    given) with every grid flag the user gave applied over it.
-
-    ``base`` is a ValidationConfig, overridden with ``dataclasses.replace``,
-    or a dict of runner keyword arguments, overridden by a merge.
-    """
-    preset = getattr(args, "preset", None)
+def _config(args):
+    """The command's --preset entry, or its base config, with each grid flag
+    the user gave applied to the config field its argparse dest names."""
+    preset, base = getattr(args, "preset", None), args.base
     if preset:
-        if preset not in presets:
-            raise ValidationError(f"unknown preset {preset!r}; choose from {sorted(presets)}")
-        base = presets[preset]
+        if preset not in args.presets:
+            raise ValidationError(f"unknown preset {preset!r}; choose from {sorted(args.presets)}")
+        base = args.presets[preset]
     given = {
-        field: getattr(args, field)
-        for field in GRID_FIELDS
-        if getattr(args, field, None) is not None
+        f.name: getattr(args, f.name)
+        for f in fields(base)
+        if getattr(args, f.name, None) is not None
     }
     if "bit_range" in given:
         given["bit_range"] = _parse_bit_range(given["bit_range"])
-    return {**base, **given} if isinstance(base, dict) else replace(base, **given)
+    return replace(base, **given)
 
 
 def cmd_synth(args) -> int:
@@ -193,7 +183,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _config(args, VALIDATION_PRESETS, VALIDATION_BASE)
+    cfg = _config(args)
     report = run_validation(cfg)
     _say(
         args,
@@ -207,10 +197,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_noise_color(args) -> int:
-    params = _config(args, NOISE_COLOR_PRESETS, NOISE_COLOR_DEFAULTS)
-    if "alphas" not in params:
+    cfg = _config(args)
+    if not cfg.alphas:
         raise ValidationError("give --preset paper-table2 or at least one --alpha")
-    report = run_noise_color_sweep(**params)
+    report = run_noise_color_sweep(cfg)
     for alpha in report.alphas:
         n_min = report.n_min[alpha]
         _say(args, f"alpha={alpha}: N_min={'none' if n_min is None else n_min}")
@@ -219,7 +209,7 @@ def cmd_noise_color(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    cfg = _config(args, VALIDATION_PRESETS, VALIDATION_BASE)
+    cfg = _config(args)
     report = run_sensitivity(cfg, args.delta or list(SENSITIVITY_DELTAS))
     worst = max(report.rows, key=lambda r: r.rel_error)
     _say(
@@ -232,7 +222,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_peaks(args) -> int:
-    cfg = _config(args, VALIDATION_PRESETS, PEAKS_BASE)
+    cfg = _config(args)
     peaks = [_parse_peak(p) for p in args.peak] if args.peak else list(DEFAULT_PEAKS)
     report = run_peak_robustness(cfg, peaks)
     _say(args, f"baseline error {report.baseline.mean_error * 100:.2f}%")
@@ -261,7 +251,8 @@ def cmd_bands(args) -> int:
 
 
 def cmd_nmin(args) -> int:
-    result = find_n_min(**_config(args, {}, NOISE_COLOR_DEFAULTS))
+    cfg = _config(args)  # with no alphas: --alpha is the search's one alpha
+    result = find_n_min(args.alpha, cfg.bit_range, cfg.trials, cfg.master_seed, cfg.n_samples)
     print("none" if result is None else result)
     return EXIT_OK
 
@@ -320,23 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p, "optionally write the report here")
     p.set_defaults(fn=cmd_analyze)
 
-    def experiment_parser(name, help_text, fn, presets=VALIDATION_PRESETS, **alpha):
+    def experiment_parser(name, help_text, fn, base=VALIDATION_BASE, presets=VALIDATION_PRESETS,
+                          **alpha):
         q = sub.add_parser(name, help=help_text)
         q.add_argument(
             "--preset", help=f"base config, one of {' | '.join(presets)}; flags override it"
         )
         _add_grid(q, **alpha)
-        # Validation runs also choose their sample rate, which moves their
+        # Validation configs also take their sample rate, which moves their
         # cutoffs, and their noise floor.
-        if presets is VALIDATION_PRESETS:
+        if hasattr(base, "sample_rate_hz"):
             q.add_argument(
                 "--fs", dest="sample_rate_hz", type=float, metavar="FS", help="sample rate in Hz"
             )
+        if hasattr(base, "floor_method"):
             q.add_argument(
                 "--floor", dest="floor_method", choices=[FLOOR_THEORETICAL, FLOOR_EMPIRICAL]
             )
         _add_output(q)
-        q.set_defaults(fn=fn)
+        q.set_defaults(fn=fn, base=base, presets=presets)
         return q
 
     experiment_parser(
@@ -344,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment_parser(
         "noise-color", "quantization-noise slope over an (alpha, bits) grid", cmd_noise_color,
-        NOISE_COLOR_PRESETS, dest="alphas", action="append", metavar="ALPHA", help="repeatable",
+        NOISE_COLOR_BASE, NOISE_COLOR_PRESETS,
+        dest="alphas", action="append", metavar="ALPHA", help="repeatable",
     )
     p = experiment_parser(
         "sensitivity", "scaling prediction error under perturbed alpha", cmd_sensitivity
@@ -353,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta", type=float, action="append",
         help="alpha perturbation (repeatable); give -1e-3 or -inf as --delta=-1e-3, --delta=-inf",
     )
-    p = experiment_parser("peaks", "validation error with spectral peaks injected", cmd_peaks)
+    p = experiment_parser(
+        "peaks", "validation error with spectral peaks injected", cmd_peaks, PEAKS_BASE
+    )
     p.add_argument("--peak", action="append", metavar="C:W:A", help="repeatable")
 
     p = signal_parser("bands", "band power preservation under quantization")
@@ -366,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nmin", help="smallest bit depth with white quantization noise")
     _add_grid(p, required=True)
-    p.set_defaults(fn=cmd_nmin)
+    p.set_defaults(fn=cmd_nmin, base=NOISE_COLOR_BASE)
 
     return parser
 

@@ -31,9 +31,9 @@ from .quantizer import (
 from .scaling import (
     FLOOR_EMPIRICAL,
     FLOOR_THEORETICAL,
-    NOISE_COLOR_N_SAMPLES,
     CutoffEstimate,
     NoiseColorCell,
+    NoiseColorConfig,
     check_grid,
     detect_cutoff,
     error_noise_slope,
@@ -98,10 +98,10 @@ class ValidationConfig:
         # any trial is synthesized.
         scaling_ratio(self.alpha)
         check_fit_samples(self.n_samples)
-        # Each trial's record spans 2 * reference_rate_scale; outside the
-        # ranges a quantizer takes, its PSD overflows or underflows.
+        # Each trial's record spans SYNTH_FULL_SCALE * reference_rate_scale;
+        # outside the ranges a quantizer takes, its PSD overflows or underflows.
         check_span(
-            2.0 * reference_rate_scale(self.alpha, self.sample_rate_hz),
+            SYNTH_FULL_SCALE * reference_rate_scale(self.alpha, self.sample_rate_hz),
             f"the span of each record at alpha={self.alpha} and f_s={self.sample_rate_hz} Hz",
         )
         self.spec  # its SynthesisSpec checks the seed and every peak
@@ -281,37 +281,27 @@ class NoiseColorSweepReport:
         return header, [[c.alpha, c.bits, c.noise_slope, c.is_white] for c in self.cells]
 
 
-def run_noise_color_sweep(
-    alphas: list[float],
-    bit_range: tuple[int, int],
-    trials: int,
-    master_seed: int,
-    n_samples: int,
-) -> NoiseColorSweepReport:
+def run_noise_color_sweep(cfg: NoiseColorConfig) -> NoiseColorSweepReport:
     """Mean quantization-noise slope over an (alpha, bits) grid.
 
-    Whiteness at each cell is judged on the mean slope across trials. The
-    grid, the record length and every alpha's spec are checked before any
-    trial is synthesized. Each alpha's ``noise_color_cells`` gives its n_min,
-    the answer ``find_n_min`` returns, and its memoized ``cell``, which is
-    then asked for every depth in order: the cells the search computed
-    are reused, not refitted.
+    Whiteness at each cell is judged on the mean slope across trials. Each
+    alpha's ``noise_color_cells`` gives its n_min, the answer ``find_n_min``
+    returns, and its memoized ``cell``, which is then asked for every
+    depth in order: the cells the search computed are reused, not refitted.
     """
-    n_lo, n_hi = check_grid(bit_range, trials)
-    check_fit_samples(n_samples)
-    specs = [SynthesisSpec(a, n_samples, REFERENCE_RATE_HZ, seed=master_seed) for a in alphas]
+    n_lo, n_hi = cfg.bit_range
     cells, n_min = [], {}
-    for spec in specs:
-        cell, n_min[spec.alpha] = noise_color_cells(spec, bit_range, trials)
+    for alpha in cfg.alphas:
+        cell, n_min[alpha] = noise_color_cells(cfg, alpha)
         cells.extend(cell(bits) for bits in range(n_lo, n_hi + 1))
         del cell  # drops this alpha's trials before the next alpha's are synthesized
     return NoiseColorSweepReport(
-        alphas=list(alphas),
-        bit_range=(n_lo, n_hi),
-        trials=trials,
-        n_samples=n_samples,
+        alphas=list(cfg.alphas),
+        bit_range=cfg.bit_range,
+        trials=cfg.trials,
+        n_samples=cfg.n_samples,
         sample_rate_hz=REFERENCE_RATE_HZ,
-        master_seed=master_seed,
+        master_seed=cfg.master_seed,
         cells=cells,
         n_min=n_min,
     )
@@ -552,16 +542,10 @@ VALIDATION_PRESETS: dict[str, ValidationConfig] = {
     ),
 }
 
-# Base grid of the noise-color sweep and of N_min, as keyword arguments of
-# ``run_noise_color_sweep`` without ``alphas``.
-NOISE_COLOR_DEFAULTS = {
-    "bit_range": (4, 12),
-    "trials": 20,
-    "n_samples": NOISE_COLOR_N_SAMPLES,
-    "master_seed": DEFAULT_SEED,
-}
+# Base grid of the noise-color sweep and of N_min; a sweep adds its alphas.
+NOISE_COLOR_BASE = NoiseColorConfig((), bit_range=(4, 12), trials=20, master_seed=DEFAULT_SEED)
 
 # Noise-color sweep presets: table 2 is alpha = 2 over bits 4-8.
-NOISE_COLOR_PRESETS = {
-    "paper-table2": {**NOISE_COLOR_DEFAULTS, "alphas": [2.0], "bit_range": (4, 8)},
+NOISE_COLOR_PRESETS: dict[str, NoiseColorConfig] = {
+    "paper-table2": replace(NOISE_COLOR_BASE, alphas=(2.0,), bit_range=(4, 8)),
 }

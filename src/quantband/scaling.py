@@ -214,19 +214,41 @@ def _first_white(white_at: Callable[[int], bool], start: int, lo: int, hi: int) 
     return next((bits for bits in range(start + 1, hi + 1) if white_at(bits)), None)
 
 
+@dataclass(frozen=True)
+class NoiseColorConfig:
+    """Grid of a noise-color sweep or an N_min search; a bad one fails here, before any trial."""
+
+    alphas: tuple[float, ...]
+    bit_range: tuple[int, int]
+    trials: int
+    master_seed: int
+    n_samples: int = NOISE_COLOR_N_SAMPLES
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphas", tuple(self.alphas))
+        object.__setattr__(self, "bit_range", check_grid(self.bit_range, self.trials))
+        check_fit_samples(self.n_samples)  # names the fit's bound, not only the spec's 16 samples
+        for i, alpha in enumerate(self.alphas):
+            self.spec(alpha)  # checks the alpha and the seed
+            if alpha in self.alphas[:i]:
+                raise ValidationError(f"alpha {alpha} is given more than once")
+
+    def spec(self, alpha: float) -> SynthesisSpec:
+        """Trial 0's synthesis at ``alpha``, from which ``trial_signals`` draws its trials."""
+        return SynthesisSpec(alpha, self.n_samples, REFERENCE_RATE_HZ, seed=self.master_seed)
+
+
 def noise_color_cells(
-    spec: SynthesisSpec,
-    bit_range: tuple[int, int],
-    trials: int,
+    cfg: NoiseColorConfig, alpha: float
 ) -> tuple[Callable[[int], NoiseColorCell], int | None]:
-    """The noise-color cells of one spec's alpha, computed when asked for, and its N_min.
+    """The noise-color cells of one of ``cfg.alphas``, computed when asked for, and its N_min.
 
     Returns ``(cell, n_min)``. ``cell(bits)`` is the cell of one depth,
     white when the mean slope over the trials ``is_white``; it is
     memoized, so each depth is computed once, when first asked for. Trial
-    i of ``trial_signals(spec, trials)`` is copied into row i of one
-    (trials, n_samples) array, which the cells hold. The runners' specs
-    are at REFERENCE_RATE_HZ, where each record spans SYNTH_FULL_SCALE.
+    i of ``trial_signals(cfg.spec(alpha), cfg.trials)`` is copied into row
+    i of one (trials, n_samples) array, which the cells hold. Each record
+    spans SYNTH_FULL_SCALE at REFERENCE_RATE_HZ.
 
     ``n_min`` is what the search finds through ``cell``: it computes
     depth ceil(b - N_MIN_OFFSET) first, b the trials' mean
@@ -234,20 +256,19 @@ def noise_color_cells(
     depth below is white, or up to the first white depth (see
     ``_first_white``).
     """
-    n_lo, n_hi = check_grid(bit_range, trials)
-    check_fit_samples(spec.n_samples)
-    records = np.empty((trials, spec.n_samples))
+    n_lo, n_hi = cfg.bit_range
+    records = np.empty((cfg.trials, cfg.n_samples))
     # enumerate, not zip: the source runs to its end, and so frees its workspace.
-    for i, signal in enumerate(trial_signals(spec, trials)):
+    for i, signal in enumerate(trial_signals(cfg.spec(alpha), cfg.trials)):
         records[i] = signal.samples
-    signals = [Signal(record, spec.sample_rate_hz) for record in records]
+    signals = [Signal(record, REFERENCE_RATE_HZ) for record in records]
     b_mean = np.mean([increment_bits(sig, SYNTH_FULL_SCALE) for sig in signals])
 
     @cache
     def cell(bits: int) -> NoiseColorCell:
-        cfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
-        mean_slope = float(np.mean([measure_noise_slope(sig, cfg) for sig in signals]))
-        return NoiseColorCell(spec.alpha, bits, mean_slope, is_white(mean_slope))
+        qcfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
+        mean_slope = float(np.mean([measure_noise_slope(sig, qcfg) for sig in signals]))
+        return NoiseColorCell(alpha, bits, mean_slope, is_white(mean_slope))
 
     start = int(np.clip(np.ceil(b_mean - N_MIN_OFFSET), n_lo, n_hi))
     return cell, _first_white(lambda bits: cell(bits).is_white, start, n_lo, n_hi)
@@ -263,14 +284,13 @@ def find_n_min(
     """Smallest bit depth in range whose mean noise slope is white, or None.
 
     Whiteness is decided on the mean slope across trials. This is the
-    ``n_min`` of ``noise_color_cells``: the trials' mean
-    ``increment_bits`` predicts the answer to within a bit, the search
-    starts there, and only the cells it visits are computed. The answer
-    is the first white depth of a scan up from the bottom of the range
-    wherever whiteness is upward-closed in depth, as it was in every
+    ``n_min`` of ``noise_color_cells`` on a one-alpha config: the trials'
+    mean ``increment_bits`` predicts the answer to within a bit, the
+    search starts there, and only the cells it visits are computed. The
+    answer is the first white depth of a scan up from the bottom of the
+    range wherever whiteness is upward-closed in depth, as it was in every
     checked record of 4,096 samples or more; in single-segment records of
     a few hundred samples it is not, and the two can differ.
     """
-    check_fit_samples(n_samples)  # names the fit's bound, not only the spec's 16 samples
-    spec = SynthesisSpec(alpha, n_samples, REFERENCE_RATE_HZ, seed=master_seed)
-    return noise_color_cells(spec, bit_range, trials)[1]
+    cfg = NoiseColorConfig((alpha,), bit_range, trials, master_seed, n_samples)
+    return noise_color_cells(cfg, alpha)[1]

@@ -18,7 +18,7 @@ from quantband.experiments import (  # noqa: E402
     run_noise_color_sweep,
     run_validation,
 )
-from quantband.scaling import find_n_min  # noqa: E402
+from quantband.scaling import NoiseColorConfig, find_n_min  # noqa: E402
 
 # The expensive paper runs, computed once per session: the acceptance
 # criteria and the golden reports read the same results.
@@ -48,7 +48,7 @@ def empirical_reports():
 @pytest.fixture(scope="session")
 def table2_sweep():
     return run_noise_color_sweep(
-        [2.0], (4, 8), trials=20, n_samples=100_000, master_seed=DEFAULT_SEED,
+        NoiseColorConfig((2.0,), (4, 8), trials=20, master_seed=DEFAULT_SEED, n_samples=100_000)
     )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import inspect
@@ -7,7 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import quantband.cli
 from quantband.cli import build_parser, main
 from quantband.experiments import ValidationConfig
 from quantband.noise import PeakSpec
+from quantband.scaling import NoiseColorConfig
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -437,14 +439,20 @@ class TestExperimentCommands:
     def test_noise_color_bad_alpha_exits_two_before_any_trial(
         self, tmp_path, capsys, synthesis_calls
     ):
-        # Alpha 2's whole default grid was computed before -1 was rejected.
         out = tmp_path / "nc.json"
-        code, stdout, err = run(
-            capsys, "noise-color", "--alpha", "2", "--alpha", "-1", "--out", str(out)
-        )
-        assert (code, stdout, err) == (2, "", "error: alpha must be finite and >= 0, got -1.0\n")
-        assert synthesis_calls == []
-        assert not out.exists()
+        for argv, message in [
+            # Alpha 2's whole default grid was computed before -1 was rejected.
+            (["--alpha", "2", "--alpha", "-1"], "alpha must be finite and >= 0, got -1.0"),
+            # Alpha 1 was synthesized and fitted twice, under one n_min key.
+            (
+                ["--alpha", "1", "--alpha", "1", "--bits", "4:5", "--trials", "2", "--n", "4096"],
+                "alpha 1.0 is given more than once",
+            ),
+        ]:
+            code, stdout, err = run(capsys, "noise-color", *argv, "--out", str(out))
+            assert (code, stdout, err) == (2, "", f"error: {message}\n")
+            assert synthesis_calls == []
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -850,7 +858,7 @@ class TestBaseConfigs:
             (
                 ["noise-color", "--alpha", "2"],
                 "run_noise_color_sweep",
-                {"alphas": [2.0], **NOISE_GRID_DEFAULTS},
+                {"cfg": NoiseColorConfig(alphas=(2.0,), **NOISE_GRID_DEFAULTS)},
             ),
             (["nmin", "--alpha", "2"], "find_n_min", {"alpha": 2.0, **NOISE_GRID_DEFAULTS}),
         ],
@@ -872,6 +880,91 @@ class TestBaseConfigs:
     ):
         monkeypatch.setattr(quantband.cli, base, replace(getattr(quantband.cli, base), master_seed=7))
         assert resolved_arguments(monkeypatch, runner, [command, *flags])[arg].master_seed == seed
+
+
+def _subparsers() -> dict:
+    [sub] = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+# Each command's options, in order, as (option strings, dest, metavar).
+COMMAND_OPTIONS = {
+    "synth": [
+        ("-h --help", "help", None), ("--alpha", "alpha", None), ("--n", "n", None),
+        ("--fs", "fs", None), ("--seed", "seed", None), ("--peak", "peak", "C:W:A"),
+        ("--out", "out", None), ("--file-format", "file_format", None),
+        ("--quiet", "quiet", None),
+    ],
+    "analyze": [
+        ("-h --help", "help", None), ("--in", "infile", None), ("--fs", "fs", None),
+        ("--bits", "bits", None), ("--range", "range", None), ("--channel", "channel", None),
+        ("--file-format", "file_format", None), ("--out", "out", None),
+        ("--format", "format", None), ("--quiet", "quiet", None),
+    ],
+    "validate": [
+        ("-h --help", "help", None), ("--preset", "preset", None), ("--alpha", "alpha", None),
+        ("--n", "n_samples", "N"), ("--bits", "bit_range", "BITS"), ("--trials", "trials", None),
+        ("--seed", "master_seed", "SEED"), ("--fs", "sample_rate_hz", "FS"),
+        ("--floor", "floor_method", None), ("--out", "out", None),
+        ("--format", "format", None), ("--quiet", "quiet", None),
+    ],
+    "noise-color": [
+        ("-h --help", "help", None), ("--preset", "preset", None),
+        ("--alpha", "alphas", "ALPHA"), ("--n", "n_samples", "N"),
+        ("--bits", "bit_range", "BITS"), ("--trials", "trials", None),
+        ("--seed", "master_seed", "SEED"), ("--out", "out", None),
+        ("--format", "format", None), ("--quiet", "quiet", None),
+    ],
+    "sensitivity": [
+        ("-h --help", "help", None), ("--preset", "preset", None), ("--alpha", "alpha", None),
+        ("--n", "n_samples", "N"), ("--bits", "bit_range", "BITS"), ("--trials", "trials", None),
+        ("--seed", "master_seed", "SEED"), ("--fs", "sample_rate_hz", "FS"),
+        ("--floor", "floor_method", None), ("--out", "out", None),
+        ("--format", "format", None), ("--quiet", "quiet", None), ("--delta", "delta", None),
+    ],
+    "peaks": [
+        ("-h --help", "help", None), ("--preset", "preset", None), ("--alpha", "alpha", None),
+        ("--n", "n_samples", "N"), ("--bits", "bit_range", "BITS"), ("--trials", "trials", None),
+        ("--seed", "master_seed", "SEED"), ("--fs", "sample_rate_hz", "FS"),
+        ("--floor", "floor_method", None), ("--out", "out", None),
+        ("--format", "format", None), ("--quiet", "quiet", None), ("--peak", "peak", "C:W:A"),
+    ],
+    "bands": [
+        ("-h --help", "help", None), ("--in", "infile", None), ("--fs", "fs", None),
+        ("--bits", "bits", None), ("--range", "range", None), ("--channel", "channel", None),
+        ("--file-format", "file_format", None), ("--band", "band", "NAME:LO:HI"),
+        ("--out", "out", None), ("--format", "format", None), ("--quiet", "quiet", None),
+    ],
+    "nmin": [
+        ("-h --help", "help", None), ("--alpha", "alpha", None), ("--n", "n_samples", "N"),
+        ("--bits", "bit_range", "BITS"), ("--trials", "trials", None),
+        ("--seed", "master_seed", "SEED"),
+    ],
+}
+
+
+def test_command_options_are_pinned():
+    # Options, dests and metavars, not the help text, which argparse
+    # formats differently across Python versions.
+    options = {
+        name: [(" ".join(a.option_strings), a.dest, a.metavar) for a in q._actions]
+        for name, q in _subparsers().items()
+    }
+    assert options == COMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("command", ["validate", "sensitivity", "peaks", "noise-color", "nmin"])
+def test_every_grid_flag_overrides_a_field_of_the_base_config(command):
+    # The override reads the base config's fields, so a grid flag whose
+    # dest is no field would be dropped without a word. nmin's --alpha
+    # names its config's one alpha instead.
+    parser = _subparsers()[command]
+    other = {"help", "preset", "out", "format", "quiet", "delta", "peak"}
+    if command == "nmin":
+        other.add("alpha")
+    grid = [a.dest for a in parser._actions if a.dest not in other]
+    assert grid
+    assert set(grid) <= {f.name for f in fields(parser.get_default("base"))}
 
 
 def _battery_script():

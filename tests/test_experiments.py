@@ -8,7 +8,7 @@ import pytest
 from quantband import experiments, noise, quantizer, scaling
 from quantband.errors import NoMeasurableBandError, NoUsableBandError, ValidationError
 from quantband.experiments import (
-    NOISE_COLOR_DEFAULTS,
+    NOISE_COLOR_BASE,
     ValidationConfig,
     analyze_signal,
     run_band_power,
@@ -30,6 +30,7 @@ from quantband.quantizer import QuantizerConfig, theoretical_noise_floor
 from quantband.scaling import (
     FLOOR_EMPIRICAL,
     CutoffEstimate,
+    NoiseColorConfig,
     find_n_min,
     measure_noise_slope,
     noise_color_cells,
@@ -94,9 +95,10 @@ class TestRunValidation:
         "make",
         [
             lambda bit_range, trials: ValidationConfig(2.0, 2000.0, 30_000, bit_range, trials),
+            lambda bit_range, trials: NoiseColorConfig((2.0,), bit_range, trials, 0, 30_000),
             lambda bit_range, trials: find_n_min(2.0, bit_range, trials, 0, 30_000),
         ],
-        ids=["config", "n_min"],
+        ids=["config", "noise-color-config", "n_min"],
     )
     @pytest.mark.parametrize(
         "bit_range, trials, message",
@@ -244,24 +246,21 @@ class TestRunPeakRobustness:
 class TestRunNoiseColorSweep:
     def test_grid_and_n_min(self):
         rep = run_noise_color_sweep(
-            [0.0, 1.0], (4, 5), trials=2, n_samples=30_000, master_seed=5
+            NoiseColorConfig((0.0, 1.0), (4, 5), trials=2, master_seed=5, n_samples=30_000)
         )
         assert len(rep.cells) == 4
         assert rep.n_min[0.0] == 4  # white input is white at any depth
         assert all(c.is_white for c in rep.cells if c.alpha == 0.0)
 
     def test_deterministic(self):
-        kwargs = dict(
-            alphas=[1.0], bit_range=(4, 4), trials=2,
-            n_samples=30_000, master_seed=5,
-        )
-        assert run_noise_color_sweep(**kwargs) == run_noise_color_sweep(**kwargs)
+        cfg = NoiseColorConfig((1.0,), (4, 4), trials=2, master_seed=5, n_samples=30_000)
+        assert run_noise_color_sweep(cfg) == run_noise_color_sweep(cfg)
 
     @pytest.mark.parametrize("alpha", [2.0, 2.5])
     def test_n_min_matches_find_n_min(self, alpha):
         # At these settings alpha 2 turns white at 7 bits; alpha 2.5 never does.
         r, trials, n, seed = (4, 8), 2, 30_000, 5
-        sweep = run_noise_color_sweep([alpha], r, trials, seed, n)
+        sweep = run_noise_color_sweep(NoiseColorConfig((alpha,), r, trials, seed, n))
         assert find_n_min(alpha, r, trials, seed, n) == sweep.n_min[alpha]
 
     @pytest.mark.parametrize("n, seed", [(25_000, 31), (50_000, 62)])
@@ -269,8 +268,8 @@ class TestRunNoiseColorSweep:
         # Whiteness is upward-closed in depth at these lengths, so the
         # search from ceil(b - N_MIN_OFFSET) lands where a scan up from
         # the bottom does, whatever its start.
-        alphas, r, trials = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0], (1, 16), 2
-        sweep = run_noise_color_sweep(alphas, r, trials, seed, n)
+        alphas, r, trials = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (1, 16), 2
+        sweep = run_noise_color_sweep(NoiseColorConfig(alphas, r, trials, seed, n))
         for alpha in alphas:
             linear = next((c.bits for c in sweep.cells if c.alpha == alpha and c.is_white), None)
             assert linear is not None
@@ -283,7 +282,7 @@ class TestRunNoiseColorSweep:
         # 1 and 4 bits are white and 2-3 are not; the search starts at 2
         # and steps up to 4, and the sweep answers the same.
         r, trials, seed, n = (1, 18), 3, 0, 300
-        sweep = run_noise_color_sweep([1.5], r, trials, seed, n)
+        sweep = run_noise_color_sweep(NoiseColorConfig((1.5,), r, trials, seed, n))
         white = [c.bits for c in sweep.cells if c.is_white]
         assert white[:2] == [1, 4]
         assert sweep.n_min[1.5] == find_n_min(1.5, r, trials, seed, n) == 4
@@ -291,13 +290,13 @@ class TestRunNoiseColorSweep:
     def test_each_cell_is_fitted_once(self, monkeypatch):
         # The sweep reads every depth through the cells its N_min search
         # already computed: one slope fit per (alpha, bits, trial).
-        alphas, r, trials, seed, n = [1.5, 2.5], (1, 8), 2, 77, 4096
+        alphas, r, trials, seed, n = (1.5, 2.5), (1, 8), 2, 77, 4096
         calls = []
         fit = scaling.measure_noise_slope
         monkeypatch.setattr(
             scaling, "measure_noise_slope", lambda sig, cfg: calls.append(cfg) or fit(sig, cfg)
         )
-        sweep = run_noise_color_sweep(alphas, r, trials, seed, n)
+        sweep = run_noise_color_sweep(NoiseColorConfig(alphas, r, trials, seed, n))
         assert len(calls) == len(alphas) * 8 * trials
         assert len(sweep.cells) == len(alphas) * 8
         monkeypatch.undo()
@@ -310,7 +309,7 @@ class TestRunNoiseColorSweep:
     def test_cells_equal_those_of_one_shot_synthesis(self, alpha, r, trials, seed, n):
         # The trials are synthesized through one workspace into one array;
         # each cell's mean slope is that of one-shot syntheses, bit for bit.
-        cell, _ = noise_color_cells(SynthesisSpec(alpha, n, REFERENCE_RATE_HZ, seed=seed), r, trials)
+        cell, _ = noise_color_cells(NoiseColorConfig((alpha,), r, trials, seed, n), alpha)
         signals = [
             synthesize(SynthesisSpec(alpha, n, REFERENCE_RATE_HZ, seed=seed + i))
             for i in range(trials)
@@ -327,12 +326,22 @@ class TestRunNoiseColorSweep:
         monkeypatch.setattr(
             noise, "_spectral_shape", lambda spec: calls.append(spec.alpha) or build(spec)
         )
-        run_noise_color_sweep(alphas, (4, 6), trials=3, master_seed=1, n_samples=4096)
+        run_noise_color_sweep(NoiseColorConfig(alphas, (4, 6), 3, master_seed=1, n_samples=4096))
         assert calls == alphas
+
+    def test_traced_peak_holds_one_alpha_at_a_time(self, traced_peak):
+        # Each alpha's (trials, n) block is dropped before the next alpha's
+        # is synthesized, so three alphas hold what one does, give or take
+        # a record. The first run pays the FFT's one-time set-up.
+        one = NoiseColorConfig((1.0,), (4, 5), trials=4, master_seed=1, n_samples=50_000)
+        three = replace(one, alphas=(1.0, 2.0, 3.0))
+        traced_peak(run_noise_color_sweep, one)
+        one_peak, three_peak = (traced_peak(run_noise_color_sweep, cfg) for cfg in (one, three))
+        assert three_peak - one_peak < 8 * one.n_samples
 
     def test_defaults_are_the_cli_base(self):
         params = inspect.signature(find_n_min).parameters
-        assert params["n_samples"].default == NOISE_COLOR_DEFAULTS["n_samples"]
+        assert params["n_samples"].default == NOISE_COLOR_BASE.n_samples
 
 
 class TestRunBandPower:

@@ -39,6 +39,7 @@ from quantband.io import (
 )
 from quantband.noise import PeakSpec, Signal, SynthesisSpec, synthesize
 from quantband.quantizer import QuantizerConfig
+from quantband.scaling import NoiseColorConfig
 
 
 def row_parser_samples(spec: SignalFileSpec) -> np.ndarray:
@@ -407,7 +408,7 @@ class TestWriteReport:
         [
             pytest.param(
                 lambda: run_noise_color_sweep(
-                    [1.0], (4, 5), trials=2, n_samples=30_000, master_seed=3,
+                    NoiseColorConfig((1.0,), (4, 5), trials=2, master_seed=3, n_samples=30_000)
                 ),
                 "alpha,bits,noise_slope,is_white",
                 2,
