@@ -2,7 +2,8 @@
 
 Every run is reproducible: identical flags and seed produce an identical
 report payload (modulo the timestamp in the metadata block). Exit codes:
-0 success, 1 runtime/file errors, 2 argument or validation errors.
+0 success, 1 runtime/file errors and refused allocations, 2 argument or
+validation errors.
 """
 
 from __future__ import annotations
@@ -17,9 +18,13 @@ import numpy as np
 from . import __version__
 from .errors import QuantbandError, ValidationError
 from .experiments import (
+    DEFAULT_PEAKS,
     DEFAULT_SEED,
     NOISE_COLOR_BASE,
     NOISE_COLOR_PRESETS,
+    PEAKS_BASE,
+    SENSITIVITY_DELTAS,
+    VALIDATION_BASE,
     VALIDATION_PRESETS,
     analyze_signal,
     run_band_power,
@@ -43,15 +48,6 @@ from .scaling import FLOOR_EMPIRICAL, FLOOR_THEORETICAL, find_n_min
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-# Base config of validate and sensitivity when --preset is not given.
-VALIDATION_BASE = VALIDATION_PRESETS["paper-alpha20"]
-# Cutoffs at 2 kHz land near 83 Hz (5 bits) and 166 Hz (6 bits), so a
-# 100 Hz peak sits in the cutoff region while a 10 Hz peak stays far
-# below it.
-PEAKS_BASE = replace(VALIDATION_BASE, sample_rate_hz=2000.0, bit_range=(5, 6))
-DEFAULT_PEAKS = (PeakSpec(10.0, 2.0, 50.0), PeakSpec(100.0, 20.0, 0.25))
-SENSITIVITY_DELTAS = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
 
 
 def _colon_fields(text: str, converters: tuple, form: str, kind: str) -> tuple:
@@ -375,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuantbandError, OSError) as exc:
+    except (QuantbandError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -91,6 +91,10 @@ class ValidationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "bit_range", check_grid(self.bit_range, self.trials))
+        if self.bit_range[0] == self.bit_range[1]:
+            raise ValidationError(
+                f"bit range {self.bit_range} holds one depth; a step ratio needs two"
+            )
         object.__setattr__(self, "peaks", tuple(self.peaks))
         if self.floor_method not in (FLOOR_THEORETICAL, FLOOR_EMPIRICAL):
             raise ValidationError(f"unknown floor method {self.floor_method!r}")
@@ -541,6 +545,15 @@ VALIDATION_PRESETS: dict[str, ValidationConfig] = {
         alpha=2.5, sample_rate_hz=20_000.0, n_samples=100_000, bit_range=(7, 12), trials=20
     ),
 }
+
+# Base config of validate and sensitivity when --preset is not given.
+VALIDATION_BASE = VALIDATION_PRESETS["paper-alpha20"]
+# Cutoffs at 2 kHz land near 83 Hz (5 bits) and 166 Hz (6 bits), so a
+# 100 Hz peak sits in the cutoff region while a 10 Hz peak stays far
+# below it.
+PEAKS_BASE = replace(VALIDATION_BASE, sample_rate_hz=2000.0, bit_range=(5, 6))
+DEFAULT_PEAKS = (PeakSpec(10.0, 2.0, 50.0), PeakSpec(100.0, 20.0, 0.25))
+SENSITIVITY_DELTAS = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
 
 # Base grid of the noise-color sweep and of N_min; a sweep adds its alphas.
 NOISE_COLOR_BASE = NoiseColorConfig((), bit_range=(4, 12), trials=20, master_seed=DEFAULT_SEED)

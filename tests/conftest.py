@@ -10,7 +10,7 @@ _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from quantband import noise, scaling  # noqa: E402
+from quantband import cli, noise, scaling  # noqa: E402
 from quantband.errors import QuantbandError  # noqa: E402
 from quantband.experiments import (  # noqa: E402
     DEFAULT_SEED,
@@ -79,16 +79,20 @@ def n_min_answers(n_min_battery):
 
 @pytest.fixture()
 def synthesis_calls(monkeypatch):
-    """The spec of every trial the runners synthesize, in order.
+    """The spec of every signal the runners and ``synth`` synthesize, in order.
 
     Patches ``noise.synthesize``, which ``noise.trial_signals``, the one
-    source of every runner's trials, looks up; each call still synthesizes.
+    source of every runner's trials, looks up, and ``cli.synthesize``;
+    each call still synthesizes.
     """
     calls = []
-    monkeypatch.setattr(
-        noise, "synthesize",
-        lambda spec, *rest, f=noise.synthesize: calls.append(spec) or f(spec, *rest),
-    )
+
+    def recorded(spec, *rest, f=noise.synthesize):
+        calls.append(spec)
+        return f(spec, *rest)
+
+    monkeypatch.setattr(noise, "synthesize", recorded)
+    monkeypatch.setattr(cli, "synthesize", recorded)
     return calls
 
 

@@ -3,8 +3,9 @@ import hashlib
 import importlib.util
 import inspect
 import json
-import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -53,14 +54,6 @@ class TestSynth:
             "a88a45d6cf6f8669405e5f252655c85524ef2d31937e20a4d61effb8739d9054"
         )
 
-    def test_negative_alpha_exits_two(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "synth", "--alpha", "-1", "--n", "4096",
-            "--fs", "2000", "--out", str(tmp_path / "x.f64"),
-        )
-        assert code == 2
-        assert "alpha" in err
-
     def test_peak_flag_changes_output(self, tmp_path, capsys):
         plain, peaked = tmp_path / "p.f64", tmp_path / "q.f64"
         run(capsys, "synth", "--alpha", "2", "--n", "4096", "--fs", "2000",
@@ -80,14 +73,6 @@ class TestSynth:
             center_hz=10.0, width_hz=1.0, amplitude_factor=50.0
         )
 
-    def test_malformed_peak_exits_two(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "synth", "--alpha", "2", "--n", "4096", "--fs", "2000",
-            "--peak", "10:1", "--out", str(tmp_path / "x.f64"),
-        )
-        assert code == 2
-        assert "peak" in err
-
     def test_csv_extension_selects_csv(self, tmp_path, capsys):
         out = tmp_path / "sig.csv"
         run(capsys, "synth", "--alpha", "1", "--n", "64", "--fs", "100", "--out", str(out))
@@ -102,67 +87,6 @@ class TestSynth:
         )
         assert code == 0
         assert stdout.strip() == str(out)
-
-    @pytest.mark.parametrize("fs, log2_amp", [("1e6", "-1494.9"), ("1", "1494.9")])
-    def test_unrepresentable_spectrum_exits_two_naming_it(self, fs, log2_amp, tmp_path, capsys):
-        # Every bin underflowed and peak normalization divided 0 by 0 (1 MHz),
-        # or the amplitudes overflowed inside the inverse FFT (1 Hz).
-        out = tmp_path / "x.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, stdout, err = run(
-                capsys, "synth", "--alpha", "300", "--n", "1000", "--fs", fs, "--out", str(out)
-            )
-        assert (code, stdout) == (2, "")
-        assert err == (
-            f"error: the spectrum at alpha=300.0, n=1000 and f_s={float(fs)} Hz cannot be "
-            f"represented: its largest bin amplitude (f_s/n)^(-alpha/2) is 2^{log2_amp}\n"
-        )
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            # width^2 underflowed to 0, and the center bin divided 0 by 0.
-            (
-                ["--alpha", "2", "--fs", "2000", "--peak", "100:1e-200:1"],
-                "peak width 1e-200 Hz is out of range: twice its square, 0, is not a "
-                "normal finite float",
-            ),
-            # The peak's gain overflowed a spectrum the bare check accepts.
-            (
-                ["--alpha", "100", "--fs", "0.01", "--peak", "0.001:0.0001:1e300"],
-                "the spectrum at alpha=100.0, n=1000 and f_s=0.01 Hz cannot be represented: "
-                "its largest bin amplitude (f_s/n)^(-alpha/2) is 2^830.5, and peaks with "
-                "amplitude factors summing to 1e+300 raise a bin by up to 2^498.3",
-            ),
-        ],
-    )
-    def test_unsynthesizable_peak_exits_two_naming_it(self, argv, message, tmp_path, capsys):
-        # Both printed RuntimeWarnings and exited 2 with "signal contains
-        # non-finite samples", which names no input.
-        out = tmp_path / "x.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, stdout, err = run(capsys, "synth", "--n", "1000", *argv, "--out", str(out))
-        assert (code, stdout, err) == (2, "", f"error: {message}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "peak, message",
-        [
-            ("0:1:1", "peak center 0.0 Hz must lie in (0, 1000.0) Hz"),
-            ("10:1:-1", "peak amplitude factor must be >= 0, got -1.0"),
-        ],
-    )
-    def test_bad_peak_exits_two_naming_it(self, peak, message, tmp_path, capsys):
-        out = tmp_path / "x.f64"
-        code, stdout, err = run(
-            capsys, "synth", "--alpha", "2", "--n", "4096", "--fs", "2000",
-            "--peak", peak, "--out", str(out),
-        )
-        assert (code, stdout, err) == (2, "", f"error: {message}\n")
-        assert not out.exists()
 
 
 class TestAnalyze:
@@ -190,14 +114,6 @@ class TestAnalyze:
         assert code == 0
         assert "colored" in stdout
 
-    def test_missing_file_exits_one(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "analyze", "--in", str(tmp_path / "missing.f64"),
-            "--fs", "2000", "--bits", "8",
-        )
-        assert code == 1
-        assert "missing.f64" in err
-
     def test_overflowing_closed_form_reads_inf(self, tmp_path, capsys):
         # White noise fits a nearly flat slope, so 2^(2N/alpha) overflows.
         sig, out = tmp_path / "w.f64", tmp_path / "w.json"
@@ -211,30 +127,6 @@ class TestAnalyze:
         report = json.loads(out.read_text())["report"]
         assert report["predicted_cutoff_hz"] is None
         assert report["predicted_exceeds_nyquist"] is True
-
-    def test_huge_range_exits_two_naming_it(self, alpha2_file, capsys):
-        # The squares of a 1e200 range overflowed inside the Welch PSD.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, stdout, err = run(
-                capsys, "analyze", "--in", str(alpha2_file), "--fs", "2000",
-                "--bits", "8", "--range", "1e200",
-            )
-        assert (code, stdout, err) == (
-            2, "", "error: full-scale range must be at most 1e+100, got 1e+200\n"
-        )
-
-    def test_tiny_range_exits_two_naming_it(self, alpha2_file, capsys):
-        # The floor (R / 2^N)^2 / (6 f_s) of a 1e-160 range underflowed to 0.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, stdout, err = run(
-                capsys, "analyze", "--in", str(alpha2_file), "--fs", "2000",
-                "--bits", "8", "--range", "1e-160",
-            )
-        assert (code, stdout, err) == (
-            2, "", "error: full-scale range must be at least 1e-100, got 1e-160\n"
-        )
 
     @pytest.mark.parametrize(
         "name, file_format, natural", [("b.dat", "csv", "a.csv"), ("b.csv", "raw", "a.f64")]
@@ -255,28 +147,6 @@ class TestAnalyze:
         ]
         assert analyses[0][0] == 0
         assert analyses[0] == analyses[1]
-
-    def test_negative_channel_exits_two(self, alpha2_file, capsys):
-        code, stdout, err = run(
-            capsys, "analyze", "--in", str(alpha2_file), "--fs", "2000", "--bits", "8",
-            "--channel", "-1",
-        )
-        assert (code, stdout, err) == (2, "", "error: channel index must be >= 0, got -1\n")
-
-    def test_channel_of_a_raw_file_exits_two(self, alpha2_file, capsys):
-        # A raw file has one channel; any other index was silently ignored.
-        code, stdout, err = run(
-            capsys, "analyze", "--in", str(alpha2_file), "--fs", "2000", "--bits", "8",
-            "--channel", "3",
-        )
-        assert (code, stdout) == (2, "")
-        assert err == "error: a raw file has one channel; channel index must be 0, got 3\n"
-
-    def test_empty_raw_file_exits_one(self, tmp_path, capsys):
-        empty = tmp_path / "empty.f64"
-        empty.write_bytes(b"")
-        code, stdout, err = run(capsys, "analyze", "--in", str(empty), "--fs", "2000", "--bits", "8")
-        assert (code, stdout, err) == (1, "", f"error: {empty}: file contains no samples\n")
 
     def test_json_report_written(self, alpha2_file, tmp_path, capsys):
         out = tmp_path / "analysis.json"
@@ -303,14 +173,15 @@ class TestExperimentCommands:
 
     @pytest.mark.parametrize("command", ["validate", "sensitivity", "peaks"])
     @pytest.mark.parametrize("n, exit_code", [(3000, 0), (40, 2)])
-    def test_record_shorter_than_one_segment(self, command, n, exit_code, tmp_path, capsys):
+    def test_record_shorter_than_one_segment(self, command, n, exit_code, rejects, accepts):
         # 3000 samples are fewer than one 4096-sample Welch segment; the
         # PSD is then estimated from one segment of the whole record. Under
         # 76 samples the default fit band holds fewer than MIN_FIT_BINS bins.
-        code, _, err = run(
-            capsys, command, "--n", str(n), "--trials", "3", "--out", str(tmp_path / "r.json")
-        )
-        assert code == exit_code, err
+        argv = [command, "--n", str(n), "--trials", "3", "--out", "r.json"]
+        if exit_code == 0:
+            accepts(argv)
+        else:
+            rejects(argv, 2, SHORT_FIT.format(n))
 
     def test_validate_quiet_prints_path_only(self, tmp_path, capsys):
         out = tmp_path / "val.json"
@@ -330,11 +201,6 @@ class TestExperimentCommands:
         for p in payloads:
             p["metadata"].pop("created_utc")
         assert payloads[0] == payloads[1]
-
-    def test_validate_unknown_preset_exits_two(self, tmp_path, capsys):
-        code, _, err = run(capsys, "validate", "--preset", "nope", "--out", str(tmp_path / "x.json"))
-        assert code == 2
-        assert "preset" in err
 
     def test_validate_preset_alpha20_band(self, tmp_path, capsys):
         out = tmp_path / "preset.json"
@@ -429,56 +295,6 @@ class TestExperimentCommands:
         code, stdout, err = run(capsys, "nmin", "--alpha", "300", "--n", "1000", "--trials", "1")
         assert (code, stdout, err) == (0, "9\n", "")
 
-    def test_noise_color_without_alpha_or_preset_exits_two(self, tmp_path, capsys):
-        out = tmp_path / "nc.json"
-        code, _, err = run(capsys, "noise-color", "--out", str(out))
-        assert code == 2
-        assert "--alpha" in err
-        assert not out.exists()
-
-    def test_noise_color_bad_alpha_exits_two_before_any_trial(
-        self, tmp_path, capsys, synthesis_calls
-    ):
-        out = tmp_path / "nc.json"
-        for argv, message in [
-            # Alpha 2's whole default grid was computed before -1 was rejected.
-            (["--alpha", "2", "--alpha", "-1"], "alpha must be finite and >= 0, got -1.0"),
-            # Alpha 1 was synthesized and fitted twice, under one n_min key.
-            (
-                ["--alpha", "1", "--alpha", "1", "--bits", "4:5", "--trials", "2", "--n", "4096"],
-                "alpha 1.0 is given more than once",
-            ),
-        ]:
-            code, stdout, err = run(capsys, "noise-color", *argv, "--out", str(out))
-            assert (code, stdout, err) == (2, "", f"error: {message}\n")
-            assert synthesis_calls == []
-            assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["nmin", "--alpha", "2", "--trials", "0"],
-            ["noise-color", "--alpha", "2", "--trials", "0"],
-        ],
-    )
-    def test_zero_trials_exits_two(self, argv, tmp_path, capsys):
-        out = tmp_path / "nc.json"
-        extra = ["--out", str(out)] if argv[0] == "noise-color" else []
-        code, stdout, err = run(capsys, *argv, *extra)
-        assert code == 2
-        assert "trials" in err
-        assert stdout == ""
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["noise-color", "nmin"])
-    def test_noise_grid_takes_no_sample_rate(self, command, capsys):
-        # Synthesis peak-normalizes, so a noise-color trial has the same
-        # samples, and its error the same slope, at every rate.
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--alpha", "2", "--fs", "2000"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --fs 2000" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "argv, section, expected",
         [
@@ -506,43 +322,197 @@ class TestExperimentCommands:
         config = report[section] if section else report
         assert {k: config[k] for k in expected} == expected
 
-    def test_unknown_command_raises_usage(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+
+# Signal files the command lines read, written with numpy by the suffix of
+# their name; a command line reads the one named after its --in.
+NORMALS = np.random.default_rng(0).standard_normal(4096)
+INPUTS = {
+    "normals.f64": NORMALS,
+    "empty.f64": np.array([]),
+    "short7.csv": np.sin(np.arange(7)),
+    "short30.csv": np.sin(np.arange(30)),
+    "huge.csv": np.sin(np.arange(4096)) * 1e160,
+    "tiny.csv": NORMALS * 1e-160,
+    "zeros.f64": np.zeros(4096),
+    "ones.f64": np.ones(4096),
+}
+
+
+def run_in(tmp_path, monkeypatch, capsys, argv: str | list[str]) -> tuple[int, str, str, bool]:
+    """``main`` on ``argv`` in ``tmp_path`` with every warning raised as an error.
+
+    Writes the file after ``--in`` if INPUTS names it. Returns the exit
+    code, stdout, stderr and whether argparse rejected the command line.
+    """
+    monkeypatch.chdir(tmp_path)
+    args = shlex.split(argv) if isinstance(argv, str) else list(argv)
+    name = args[args.index("--in") + 1] if "--in" in args else None
+    if name in INPUTS:
+        if name.endswith(".csv"):
+            np.savetxt(name, INPUTS[name], fmt="%.17g")
+        else:
+            INPUTS[name].tofile(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code, usage = main(args), False
+        except SystemExit as exc:
+            code, usage = exc.code, True
+    out, err = capsys.readouterr()
+    return code, out, err, usage
+
+
+@pytest.fixture()
+def rejects(tmp_path, monkeypatch, capsys, synthesis_calls):
+    """``rejects(argv, exit_code, stderr)`` asserts the boundary contract.
+
+    The command exits with ``exit_code``, prints nothing to stdout and
+    exactly the ``stderr`` line, writes no file and synthesizes nothing.
+    For argparse rejections ``stderr`` is the last line after the usage,
+    up to any list of choices.
+    """
+    def check(argv, exit_code: int, stderr: str) -> None:
+        code, out, err, usage = run_in(tmp_path, monkeypatch, capsys, argv)
+        assert (code, out) == (exit_code, "")
+        if usage:
+            assert err.startswith("usage: quantband") and err.splitlines()[-1].startswith(stderr)
+        else:
+            assert err == stderr + "\n"
+        assert {p.name for p in tmp_path.iterdir()} <= set(INPUTS)  # no report, no --out file
+        assert synthesis_calls == []
+
+    return check
+
+
+@pytest.fixture()
+def accepts(tmp_path, monkeypatch, capsys):
+    """``accepts(argv)`` asserts the command exits 0, silent on stderr, and writes r.json."""
+    def check(argv) -> None:
+        code, _, err, _ = run_in(tmp_path, monkeypatch, capsys, argv)
+        assert (code, err) == (0, "")
+        assert (tmp_path / "r.json").exists()
+
+    return check
+
+
+SEED = "error: seed must be >= 0, got -1"
+SHORT_FIT = "error: record of {} samples is too short for a spectral fit; need at least 76"
+SCALING_RATIO = "error: alpha must be finite and > 2/1024, got {}"
+SPAN = "error: the span of each record at alpha={} and f_s={} Hz must be {}"
+FILE_SPAN = "error: {}: the span 2 * peak |sample| must be {}"
+
+# Inputs a command rejects at the boundary: (id, argv, exit code, stderr).
+# The rules that take many inputs have their own tests below.
+REJECTED = [
+    ("synth-negative-alpha", "synth --alpha -1 --n 4096 --fs 2000 --out x.f64", 2,
+     "error: alpha must be finite and >= 0, got -1.0"),
+    *(
+        (f"synth-spectrum-at-{fs}-hz", f"synth --alpha 300 --n 1000 --fs {fs} --out x.csv", 2,
+         f"error: the spectrum at alpha=300.0, n=1000 and f_s={float(fs)} Hz cannot be "
+         f"represented: its largest bin amplitude (f_s/n)^(-alpha/2) is 2^{log2_amp}")
+        for fs, log2_amp in (("1e6", "-1494.9"), ("1", "1494.9"))
+    ),
+    ("synth-malformed-peak", "synth --alpha 2 --n 4096 --fs 2000 --peak 10:1 --out x.f64", 2,
+     "error: peak must be center:width:amplitude, got '10:1'"),
+    ("synth-peak-at-dc", "synth --alpha 2 --n 4096 --fs 2000 --peak 0:1:1 --out x.f64", 2,
+     "error: peak center 0.0 Hz must lie in (0, 1000.0) Hz"),
+    ("synth-negative-peak-amplitude",
+     "synth --alpha 2 --n 4096 --fs 2000 --peak 10:1:-1 --out x.f64", 2,
+     "error: peak amplitude factor must be >= 0, got -1.0"),
+    ("synth-peak-width-underflows",
+     "synth --n 1000 --alpha 2 --fs 2000 --peak 100:1e-200:1 --out x.csv", 2,
+     "error: peak width 1e-200 Hz is out of range: twice its square, 0, is not a normal "
+     "finite float"),
+    ("synth-peak-gain-overflows",
+     "synth --n 1000 --alpha 100 --fs 0.01 --peak 0.001:0.0001:1e300 --out x.csv", 2,
+     "error: the spectrum at alpha=100.0, n=1000 and f_s=0.01 Hz cannot be represented: its "
+     "largest bin amplitude (f_s/n)^(-alpha/2) is 2^830.5, and peaks with amplitude factors "
+     "summing to 1e+300 raise a bin by up to 2^498.3"),
+    ("analyze-missing-file", "analyze --in missing.f64 --fs 2000 --bits 8", 1,
+     "error: missing.f64: [Errno 2] No such file or directory: 'missing.f64'"),
+    ("analyze-empty-raw-file", "analyze --in empty.f64 --fs 2000 --bits 8", 1,
+     "error: empty.f64: file contains no samples"),
+    ("analyze-negative-channel", "analyze --in normals.f64 --fs 2000 --bits 8 --channel -1", 2,
+     "error: channel index must be >= 0, got -1"),
+    ("analyze-channel-of-a-raw-file",
+     "analyze --in normals.f64 --fs 2000 --bits 8 --channel 3", 2,
+     "error: a raw file has one channel; channel index must be 0, got 3"),
+    ("analyze-huge-range", "analyze --in normals.f64 --fs 2000 --bits 8 --range 1e200", 2,
+     "error: full-scale range must be at most 1e+100, got 1e+200"),
+    ("analyze-tiny-range", "analyze --in normals.f64 --fs 2000 --bits 8 --range 1e-160", 2,
+     "error: full-scale range must be at least 1e-100, got 1e-160"),
+    ("bands-7-samples", "bands --in short7.csv --fs 100 --bits 8", 2,
+     "error: record of 7 samples is too short for a Welch PSD; need at least 8"),
+    ("bands-30-samples", "bands --in short30.csv --fs 100 --bits 8", 2,
+     "error: band (0.5, 4.0) Hz spans fewer than 2 bins"),
+    ("bands-constant-record", "bands --in ones.f64 --fs 2000 --bits 8 --range 2", 2,
+     "error: band (0.5, 4.0) Hz holds no power in the record"),
+    ("validate-unknown-preset", "validate --preset nope --out x.json", 2,
+     "error: unknown preset 'nope'; choose from "
+     "['paper-alpha15', 'paper-alpha20', 'paper-alpha25']"),
+    ("peaks-peak-past-nyquist", "peaks --peak 999:10:1 --out r.json", 2,
+     "error: peak at 999.0 Hz with width 10.0 Hz extends past the Nyquist frequency 1000.0 Hz"),
+    *(
+        (f"{cmd}-one-depth", f"{cmd} --bits {depth} --trials 2 --n 4096 --out v.json", 2,
+         f"error: bit range {(depth, depth)} holds one depth; a step ratio needs two")
+        for cmd, depth in (("validate", 7), ("sensitivity", 7), ("peaks", 5))
+    ),
+    ("noise-color-without-alpha", "noise-color --out nc.json", 2,
+     "error: give --preset paper-table2 or at least one --alpha"),
+    ("noise-color-negative-alpha", "noise-color --alpha 2 --alpha -1 --out nc.json", 2,
+     "error: alpha must be finite and >= 0, got -1.0"),
+    ("noise-color-repeated-alpha",
+     "noise-color --alpha 1 --alpha 1 --bits 4:5 --trials 2 --n 4096 --out nc.json", 2,
+     "error: alpha 1.0 is given more than once"),
+    ("noise-color-zero-trials", "noise-color --alpha 2 --trials 0 --out nc.json", 2,
+     "error: trials must be >= 1, got 0"),
+    ("nmin-zero-trials", "nmin --alpha 2 --trials 0", 2, "error: trials must be >= 1, got 0"),
+    *(
+        (f"{cmd}-takes-no-fs", f"{cmd} --alpha 2 --fs 2000", 2,
+         "quantband: error: unrecognized arguments: --fs 2000")
+        for cmd in ("noise-color", "nmin")
+    ),
+    ("unknown-command", "frobnicate", 2,
+     "quantband: error: argument command: invalid choice: 'frobnicate'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, stderr", [pytest.param(*row, id=row_id) for row_id, *row in REJECTED]
+)
+def test_rejected_at_the_boundary(argv, exit_code, stderr, rejects):
+    rejects(argv, exit_code, stderr)
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["peaks", "--peak", "10:1"], "peak must be center:width:amplitude, got '10:1'"),
-        (["peaks", "--peak", "a:b:c"], "peak fields must be numeric, got 'a:b:c'"),
-        (["validate", "--bits", "1:2:3"], "bit range must be lo:hi, got '1:2:3'"),
-        (["validate", "--bits", "3:x"], "bit range fields must be integers, got '3:x'"),
-        (["validate", "--bits", ""], "bit range fields must be integers, got ''"),
+        (["peaks", "--peak", "10:1", "--out", "r.json"],
+         "peak must be center:width:amplitude, got '10:1'"),
+        (["peaks", "--peak", "a:b:c", "--out", "r.json"],
+         "peak fields must be numeric, got 'a:b:c'"),
+        (["validate", "--bits", "1:2:3", "--out", "r.json"],
+         "bit range must be lo:hi, got '1:2:3'"),
+        (["validate", "--bits", "3:x", "--out", "r.json"],
+         "bit range fields must be integers, got '3:x'"),
+        (["validate", "--bits", "", "--out", "r.json"],
+         "bit range fields must be integers, got ''"),
         (["nmin", "--alpha", "2", "--bits", "x"], "bit range fields must be integers, got 'x'"),
-        (["bands", "--band", "a:1"], "band must be name:f_low:f_high, got 'a:1'"),
-        (["bands", "--band", "a:b:c"], "band edges must be numeric, got 'a:b:c'"),
+        (["bands", "--band", "a:1", "--in", "normals.f64", "--fs", "160", "--bits", "6",
+          "--out", "r.json"], "band must be name:f_low:f_high, got 'a:1'"),
+        (["bands", "--band", "a:b:c", "--in", "normals.f64", "--fs", "160", "--bits", "6",
+          "--out", "r.json"], "band edges must be numeric, got 'a:b:c'"),
     ],
 )
-def test_colon_flag_errors_quote_the_flag(argv, message, tmp_path, capsys):
-    out = tmp_path / "r.json"
-    if argv[0] == "bands":
-        sig = tmp_path / "sig.f64"
-        run(capsys, "synth", "--alpha", "1", "--n", "4096", "--fs", "160", "--out", str(sig))
-        argv = [*argv, "--in", str(sig), "--fs", "160", "--bits", "6"]
-    if argv[0] != "nmin":
-        argv = [*argv, "--out", str(out)]
-    code, stdout, err = run(capsys, *argv)
-    assert (code, stdout, err) == (2, "", f"error: {message}\n")
-    assert not out.exists()
+def test_colon_flag_errors_quote_the_flag(argv, message, rejects):
+    rejects(argv, 2, f"error: {message}")
 
 
 @pytest.mark.parametrize(
     "argv, n",
     [
-        (["analyze", "--fs", "100", "--bits", "8"], 7),
-        (["analyze", "--fs", "100", "--bits", "8"], 30),
+        (["analyze", "--fs", "100", "--bits", "8", "--in", "short7.csv"], 7),
+        (["analyze", "--fs", "100", "--bits", "8", "--in", "short30.csv"], 30),
         (["validate", "--n", "40"], 40),
         (["validate", "--n", "75"], 75),
         (["nmin", "--alpha", "2", "--n", "40"], 40),
@@ -550,60 +520,24 @@ def test_colon_flag_errors_quote_the_flag(argv, message, tmp_path, capsys):
         (["noise-color", "--alpha", "2", "--n", "10"], 10),
     ],
 )
-def test_record_too_short_to_fit_exits_two_naming_its_length(
-    argv, n, tmp_path, capsys, monkeypatch, synthesis_calls
-):
-    if argv[0] == "analyze":
-        sig = tmp_path / "short.csv"
-        sig.write_text("".join(f"{math.sin(i)}\n" for i in range(n)))
-        argv = [*argv, "--in", str(sig)]
-    monkeypatch.chdir(tmp_path)
-    code, stdout, err = run(capsys, *argv)
-    assert (code, stdout) == (2, "")
-    assert err == (
-        f"error: record of {n} samples is too short for a spectral fit; need at least 76\n"
-    )
-    assert synthesis_calls == []
-
-
-def test_bands_on_a_record_too_short_to_fit_names_the_band(tmp_path, capsys):
-    # bands fits no slope, so a short record fails on its band edges.
-    sig = tmp_path / "short.csv"
-    sig.write_text("".join(f"{math.sin(i)}\n" for i in range(30)))
-    code, stdout, err = run(capsys, "bands", "--in", str(sig), "--fs", "100", "--bits", "8")
-    assert (code, stdout, err) == (2, "", "error: band (0.5, 4.0) Hz spans fewer than 2 bins\n")
-
-
-def test_bad_peak_fails_before_any_trial(tmp_path, capsys, synthesis_calls):
-    code, _, err = run(capsys, "peaks", "--peak", "999:10:1", "--out", str(tmp_path / "r.json"))
-    assert code == 2
-    assert err == (
-        "error: peak at 999.0 Hz with width 10.0 Hz extends past the Nyquist frequency 1000.0 Hz\n"
-    )
-    assert synthesis_calls == []
+def test_record_too_short_to_fit_exits_two_naming_its_length(argv, n, rejects):
+    rejects(argv, 2, SHORT_FIT.format(n))
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["synth", "--alpha", "2", "--fs", "1000", "--n", "1000"],
-        ["validate", "--trials", "2", "--n", "20000"],
-        ["sensitivity", "--trials", "2", "--n", "20000"],
-        ["peaks", "--trials", "2", "--n", "20000"],
-        ["noise-color", "--alpha", "2", "--trials", "2", "--n", "5000"],
+        ["synth", "--alpha", "2", "--fs", "1000", "--n", "1000", "--out", "out.csv"],
+        ["validate", "--trials", "2", "--n", "20000", "--out", "out.csv"],
+        ["sensitivity", "--trials", "2", "--n", "20000", "--out", "out.csv"],
+        ["peaks", "--trials", "2", "--n", "20000", "--out", "out.csv"],
+        ["noise-color", "--alpha", "2", "--trials", "2", "--n", "5000", "--out", "out.csv"],
         ["nmin", "--alpha", "2", "--trials", "2", "--n", "5000"],
     ],
     ids=lambda argv: argv[0],
 )
-def test_negative_seed_exits_two_before_any_trial(argv, tmp_path, capsys, synthesis_calls):
-    # numpy's generator rejected the seed inside the first trial, with a traceback.
-    out = tmp_path / "out.csv"
-    if argv[0] != "nmin":
-        argv = [*argv, "--out", str(out)]
-    code, stdout, err = run(capsys, *argv, "--seed", "-1")
-    assert (code, stdout, err) == (2, "", "error: seed must be >= 0, got -1\n")
-    assert synthesis_calls == []
-    assert not out.exists()
+def test_negative_seed_exits_two_before_any_trial(argv, rejects):
+    rejects([*argv, "--seed", "-1"], 2, SEED)
 
 
 @pytest.mark.parametrize(
@@ -617,18 +551,9 @@ def test_negative_seed_exits_two_before_any_trial(argv, tmp_path, capsys, synthe
         ),
     ],
 )
-def test_alpha_without_a_finite_scaling_ratio_exits_two_before_any_trial(
-    argv, alpha, tmp_path, capsys, synthesis_calls
-):
-    # 2 ** (2 / alpha) raised OverflowError; sensitivity checked each
-    # perturbed alpha only for <= 0, so nan and inf failed after the whole
-    # validation run.
-    out = tmp_path / "r.json"
-    code, stdout, err = run(capsys, *argv, "--trials", "1", "--n", "2000", "--out", str(out))
-    assert (code, stdout) == (2, "")
-    assert err == f"error: alpha must be finite and > 2/1024, got {alpha}\n"
-    assert synthesis_calls == []
-    assert not out.exists()
+def test_alpha_without_a_finite_scaling_ratio_exits_two_before_any_trial(argv, alpha, rejects):
+    rejects([*argv, "--trials", "1", "--n", "2000", "--out", "r.json"], 2,
+            SCALING_RATIO.format(alpha))
 
 
 @pytest.mark.parametrize(
@@ -640,58 +565,26 @@ def test_alpha_without_a_finite_scaling_ratio_exits_two_before_any_trial(
     ],
     ids=["nmin", "noise-color", "validate"],
 )
-def test_bit_range_past_max_bits_fails_before_any_trial(
-    argv, bit_range, tmp_path, capsys, monkeypatch, synthesis_calls
-):
-    monkeypatch.chdir(tmp_path)
-    code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert err == f"error: invalid bit range {bit_range}\n"
-    assert synthesis_calls == []
+def test_bit_range_past_max_bits_fails_before_any_trial(argv, bit_range, rejects):
+    rejects(argv, 2, f"error: invalid bit range {bit_range}")
+
+
+def _validate_span(alpha: str, fs: str) -> str:
+    return f"validate --alpha {alpha} --fs {fs} --n 1000 --bits 4:5 --trials 1"
 
 
 @pytest.mark.parametrize(
     "alpha, fs, span", [("300", "0.001", "inf"), ("60", "0.01", "4.80192e+156")]
 )
-def test_record_span_past_max_full_scale_fails_before_any_trial(
-    alpha, fs, span, tmp_path, capsys, monkeypatch, synthesis_calls
-):
-    # reference_rate_scale overflowed (alpha 300), or the scaled record's
-    # PSD did (alpha 60), inside the first trial.
-    monkeypatch.chdir(tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, stdout, err = run(
-            capsys, "validate", "--alpha", alpha, "--fs", fs, "--n", "1000",
-            "--bits", "4:5", "--trials", "1",
-        )
-    assert (code, stdout) == (2, "")
-    assert err == (
-        f"error: the span of each record at alpha={float(alpha)} and f_s={float(fs)} Hz "
-        f"must be at most 1e+100, got {span}\n"
-    )
-    assert synthesis_calls == []
+def test_record_span_past_max_full_scale_fails_before_any_trial(alpha, fs, span, rejects):
+    rejects(_validate_span(alpha, fs), 2,
+            SPAN.format(float(alpha), float(fs), f"at most 1e+100, got {span}"))
 
 
 @pytest.mark.parametrize("alpha, fs, span", [("60", "1e9", "1.5185e-168"), ("300", "1e6", "0")])
-def test_record_span_under_min_full_scale_fails_before_any_trial(
-    alpha, fs, span, tmp_path, capsys, monkeypatch, synthesis_calls
-):
-    # The scaled record's PSD underflowed (alpha 60), or reference_rate_scale
-    # did (alpha 300), and the run failed on its fit band or its samples.
-    monkeypatch.chdir(tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, stdout, err = run(
-            capsys, "validate", "--alpha", alpha, "--fs", fs, "--n", "1000",
-            "--bits", "4:5", "--trials", "1",
-        )
-    assert (code, stdout) == (2, "")
-    assert err == (
-        f"error: the span of each record at alpha={float(alpha)} and f_s={float(fs)} Hz "
-        f"must be at least 1e-100, got {span}\n"
-    )
-    assert synthesis_calls == []
+def test_record_span_under_min_full_scale_fails_before_any_trial(alpha, fs, span, rejects):
+    rejects(_validate_span(alpha, fs), 2,
+            SPAN.format(float(alpha), float(fs), f"at least 1e-100, got {span}"))
 
 
 @pytest.mark.parametrize("command", ["analyze", "bands"])
@@ -701,24 +594,53 @@ def test_record_span_under_min_full_scale_fails_before_any_trial(
      ("1e-30", 0), ("1e30", 0)],
 )
 def test_signal_rate_outside_the_limits_exits_two_naming_it(
-    command, fs, expected, tmp_path, capsys
+    command, fs, expected, rejects, accepts
 ):
-    # A tiny rate overflowed S_0 into a traceback, or leaked a numpy
-    # warning; the limits themselves still run.
-    sig = tmp_path / "normals.csv"
-    values = np.random.default_rng(0).standard_normal(4096)
-    sig.write_text("".join(f"{x!r}\n" for x in values.tolist()))
-    out = tmp_path / "r.json"
     band = ["--band", f"b:{float(fs) / 100!r}:{float(fs) / 4!r}"] if command == "bands" else []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _, err = run(
-            capsys, command, "--in", str(sig), "--fs", fs, "--bits", "8", *band, "--out", str(out)
-        )
-    assert code == expected, err
-    if expected == 2:
-        assert err == f"error: sample rate {float(fs):g} Hz is outside [1e-30, 1e+30] Hz\n"
-        assert not out.exists()
+    argv = [command, "--in", "normals.f64", "--fs", fs, "--bits", "8", *band, "--out", "r.json"]
+    if expected == 0:
+        accepts(argv)
+    else:
+        rejects(argv, 2, f"error: sample rate {float(fs):g} Hz is outside [1e-30, 1e+30] Hz")
+
+
+@pytest.mark.parametrize("command", ["analyze", "bands"])
+@pytest.mark.parametrize("range_flag", [[], ["--range", "2"]])
+def test_signal_level_past_max_full_scale_exits_two_naming_its_peak(
+    command, range_flag, rejects
+):
+    rejects([command, "--in", "huge.csv", "--fs", "2000", "--bits", "8", *range_flag], 2,
+            FILE_SPAN.format("huge.csv", "at most 1e+100, got 1.99998e+160"))
+
+
+@pytest.mark.parametrize("command", ["analyze", "bands"])
+@pytest.mark.parametrize("range_flag", [[], ["--range", "2"]])
+@pytest.mark.parametrize("name, level", [("tiny.csv", 1e-160), ("zeros.f64", 0.0)])
+def test_signal_level_under_min_full_scale_exits_two_naming_its_peak(
+    command, range_flag, name, level, rejects
+):
+    span = 2 * np.abs(NORMALS).max() * level
+    rejects([command, "--in", name, "--fs", "2000", "--bits", "8", *range_flag], 2,
+            FILE_SPAN.format(name, f"at least 1e-100, got {span:g}"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "nmin --alpha 2 --trials 1000000000 --n 1000000000 --bits 4:6",
+        "noise-color --alpha 2 --trials 1000000000 --n 1000000000 --bits 4:6 --out nc.json",
+        "synth --alpha 2 --fs 2000 --n 1000000000000000000 --out x.f64",
+        "validate --n 1000000000000000000 --trials 1 --out v.json",
+    ],
+    ids=lambda argv: argv.split()[0],
+)
+def test_refused_allocation_exits_one(argv, tmp_path, monkeypatch, capsys):
+    # Each asks for 3.5 to 6.9 EiB, past any 64-bit address space, so it
+    # fails at once and touches no memory.
+    code, out, err, _ = run_in(tmp_path, monkeypatch, capsys, argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: Unable to allocate [\d.]+ EiB for an array with shape .*\n", err)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n", [4096, 20_000])
@@ -738,75 +660,6 @@ def test_blue_record_at_the_lowest_rate_reads_s0_inf(n, tmp_path, capsys):
     assert "fitted S0 (1 Hz):   inf" in stdout
     report = json.loads(out.read_text())["report"]
     assert report["alpha_hat"] < -3 and report["s0_hat"] is None
-
-
-@pytest.mark.parametrize("command", ["analyze", "bands"])
-@pytest.mark.parametrize("range_flag", [[], ["--range", "2"]])
-def test_signal_level_past_max_full_scale_exits_two_naming_its_peak(
-    command, range_flag, tmp_path, capsys
-):
-    # The PSD of a 1e160-level signal overflowed whatever the range, and
-    # without --range the error named a range the user never gave.
-    sig = tmp_path / "huge.csv"
-    sig.write_text("".join(f"{math.sin(i) * 1e160!r}\n" for i in range(4096)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, stdout, err = run(
-            capsys, command, "--in", str(sig), "--fs", "2000", "--bits", "8", *range_flag
-        )
-    peak = max(abs(math.sin(i) * 1e160) for i in range(4096))
-    assert (code, stdout) == (2, "")
-    assert err == (
-        f"error: {sig}: the span 2 * peak |sample| must be at most 1e+100, got {2 * peak:g}\n"
-    )
-
-
-@pytest.mark.parametrize("command", ["analyze", "bands"])
-@pytest.mark.parametrize("range_flag", [[], ["--range", "2"]])
-@pytest.mark.parametrize("name, level", [("tiny.csv", 1e-160), ("zeros.f64", 0.0)])
-def test_signal_level_under_min_full_scale_exits_two_naming_its_peak(
-    command, range_flag, name, level, tmp_path, capsys
-):
-    # The PSD of a 1e-160-level signal underflowed to zero bins; an all-zero
-    # signal divided by its zero band power in bands.
-    values = np.random.default_rng(0).standard_normal(4096) * level
-    sig = tmp_path / name
-    if name.endswith(".csv"):
-        sig.write_text("".join(f"{v!r}\n" for v in values.tolist()))
-    else:
-        values.tofile(sig)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, stdout, err = run(
-            capsys, command, "--in", str(sig), "--fs", "2000", "--bits", "8", *range_flag
-        )
-    assert (code, stdout) == (2, "")
-    assert err == (
-        f"error: {sig}: the span 2 * peak |sample| must be at least 1e-100, "
-        f"got {2 * np.abs(values).max():g}\n"
-    )
-
-
-def test_bands_on_a_constant_record_names_the_empty_band(tmp_path, capsys):
-    # Mean removal leaves each segment of a constant record zero, so the
-    # band power ratio divided by zero.
-    sig = tmp_path / "ones.f64"
-    np.ones(4096).tofile(sig)
-    code, stdout, err = run(
-        capsys, "bands", "--in", str(sig), "--fs", "2000", "--bits", "8", "--range", "2"
-    )
-    assert (code, stdout, err) == (
-        2, "", "error: band (0.5, 4.0) Hz holds no power in the record\n"
-    )
-
-
-def test_bands_on_a_record_under_one_segment_names_its_length(tmp_path, capsys):
-    sig = tmp_path / "seven.csv"
-    sig.write_text("".join(f"{math.sin(i)}\n" for i in range(7)))
-    code, stdout, err = run(capsys, "bands", "--in", str(sig), "--fs", "100", "--bits", "8")
-    assert (code, stdout, err) == (
-        2, "", "error: record of 7 samples is too short for a Welch PSD; need at least 8\n"
-    )
 
 
 class _Resolved(Exception):

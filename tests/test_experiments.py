@@ -116,6 +116,13 @@ class TestRunValidation:
             make(bit_range, trials)
         assert str(exc.value) == message
 
+    def test_one_depth_rejected_by_validation_only(self):
+        # One depth has no step ratio; the noise-color grid still searches it.
+        with pytest.raises(ValidationError) as exc:
+            ValidationConfig(2.0, 2000.0, 30_000, (5, 5), 3)
+        assert str(exc.value) == "bit range (5, 5) holds one depth; a step ratio needs two"
+        assert NoiseColorConfig((2.0,), (5, 5), 3, 0, 30_000).bit_range == (5, 5)
+
     def test_unknown_floor_method_rejected(self):
         with pytest.raises(ValidationError):
             ValidationConfig(2.0, 2000.0, 30_000, (5, 6), 3, floor_method="magic")

@@ -18,9 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from quantband.cli import DEFAULT_PEAKS, PEAKS_BASE, SENSITIVITY_DELTAS
 from quantband.experiments import (
+    DEFAULT_PEAKS,
     DEFAULT_SEED,
+    PEAKS_BASE,
+    SENSITIVITY_DELTAS,
     VALIDATION_PRESETS,
     analyze_signal,
     run_band_power,

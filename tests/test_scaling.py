@@ -7,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantband.errors import NoUsableBandError, ValidationError
-from quantband.noise import SynthesisSpec, synthesize
-from quantband.quantizer import MAX_BITS, QuantizerConfig, theoretical_noise_floor
+from quantband.noise import Signal, SynthesisSpec, synthesize, trial_signals
+from quantband.quantizer import (
+    MAX_BITS,
+    QuantizerConfig,
+    error_signal,
+    increment_bits,
+    quantize,
+    theoretical_noise_floor,
+)
 from quantband.scaling import (
     CROSSING_FIT_HALF_WIDTH,
     _first_white,
@@ -19,12 +26,28 @@ from quantband.scaling import (
     predicted_cutoff,
     scaling_ratio,
 )
-from quantband.spectral import Psd, fit_slope
+from quantband.spectral import Psd, fit_slope, record_psd
 
 
 def power_law_psd(alpha, coeff=1.0, f_lo=0.5, f_hi=1000.0, df=0.5):
     freqs = np.arange(f_lo, f_hi + df / 2, df)
     return Psd(freqs, coeff * freqs ** (-alpha), df)
+
+
+def decimated_by_4(sig: Signal) -> Signal:
+    """``sig`` low-passed and decimated by 4 by truncating its spectrum."""
+    n = sig.n_samples
+    kept = np.fft.rfft(sig.samples)[: n // 8 + 1]
+    return Signal(np.fft.irfft(kept, n // 4) / 4, sig.sample_rate_hz / 4)
+
+
+def quantization_error(sig: Signal, bits: int) -> Signal:
+    return error_signal(sig, quantize(sig, QuantizerConfig(bits, 2.0)))
+
+
+def median_power(sig: Signal, f_low: float, f_high: float) -> float:
+    psd = record_psd(sig)
+    return float(np.median(psd.power[(psd.freqs_hz >= f_low) & (psd.freqs_hz <= f_high)]))
 
 
 class TestScalingRatio:
@@ -133,6 +156,28 @@ class TestPredictedCutoff:
         deeper = predicted_cutoff(alpha, s0, fs, QuantizerConfig(bits + 1, full_scale))
         assert math.isclose(faster.floor_value, deeper.floor_value, rel_tol=1e-15)
         assert math.isclose(faster.f_c_hz, deeper.f_c_hz, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha, bits, white", [(1.5, 7, True), (2.0, 10, True), (1.5, 3, False), (2.0, 6, False)]
+    )
+    def test_four_times_the_rate_buys_one_bit_only_where_the_error_is_white(
+        self, alpha, bits, white
+    ):
+        # A full-scale record of 4 * 10^5 samples at 8 kHz: its N_min is 5
+        # at alpha 1.5 and 8 at alpha 2. Decimating by 4 keeps a quarter of
+        # a white error's power, as one more bit at the low rate does; a red
+        # error, two bits below N_min, keeps more. The shortfall, in bits,
+        # reads 0 when the rate buys the whole bit. Seeds 21-24 read -0.016
+        # to +0.008 when white and -0.30 to -0.57 when red.
+        x = synthesize(SynthesisSpec(alpha, 400_000, 8000.0, seed=1234))
+        oversampled = decimated_by_4(quantization_error(x, bits))
+        deeper = quantization_error(decimated_by_4(x), bits + 1)
+        ratio = median_power(oversampled, 20.0, 800.0) / median_power(deeper, 20.0, 800.0)
+        shortfall = -0.5 * math.log2(ratio)
+        if white:
+            assert abs(shortfall) < 0.05
+        else:
+            assert shortfall <= -0.2
 
     def test_floor_underflowing_to_zero_reads_inf(self):
         cfg = QuantizerConfig(bits=24, full_scale=1e-100)
@@ -262,6 +307,22 @@ class TestNoiseColor:
     )
     def test_is_white_threshold(self, slope, white):
         assert is_white(slope) is white
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
+    def test_increment_bits_rise_by_half_of_alpha_minus_one_per_doubling(self, alpha):
+        # A full-scale record's range follows sigma_x, and for 1 < alpha < 3
+        # sigma_x^2 / sigma_d^2 grows as n^(alpha - 1). Seeds 0-9 and 40-49
+        # fit slopes within 0.06 of (alpha - 1) / 2.
+        lengths = [2**k for k in range(13, 17)]
+        mean_b = [
+            np.mean([
+                increment_bits(sig, 2.0)
+                for sig in trial_signals(SynthesisSpec(alpha, n, 2000.0, seed=1234), 10)
+            ])
+            for n in lengths
+        ]
+        slope = np.polyfit(np.log2(lengths), mean_b, 1)[0]
+        assert slope == pytest.approx((alpha - 1) / 2, abs=0.1)
 
     def test_find_n_min_pink_noise(self):
         assert find_n_min(1.0, (4, 6), trials=3, master_seed=0) == 4
