@@ -15,8 +15,10 @@ presets do, scale a synthesis by ``reference_rate_scale``.
 from __future__ import annotations
 
 import math
+import os
 import sys
-from collections.abc import Iterator
+import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -170,12 +172,21 @@ class SynthesisWorkspace:
     ``synthesize`` draws into them and overwrites the record, which the
     signal it returns aliases. A run of many seeds of one spec that passes
     one workspace builds the shape once and allocates no record per seed.
+    Workspaces given one ``shape`` share it, read-only. The ``record``, by
+    default a new array, may be any contiguous ``spec.n_samples`` floats,
+    a row of a larger array included, and may be pointed elsewhere
+    between syntheses.
     """
 
-    def __init__(self, spec: SynthesisSpec):
-        self.shape = _spectral_shape(spec)
+    def __init__(
+        self,
+        spec: SynthesisSpec,
+        shape: np.ndarray | None = None,
+        record: np.ndarray | None = None,
+    ):
+        self.shape = _spectral_shape(spec) if shape is None else shape
         self.spectrum = np.empty(self.shape.size, dtype=np.complex128)
-        self.record = np.empty(spec.n_samples)
+        self.record = np.empty(spec.n_samples) if record is None else record
 
 
 def synthesize(spec: SynthesisSpec, workspace: SynthesisWorkspace | None = None) -> Signal:
@@ -231,6 +242,57 @@ def reference_rate_scale(alpha: float, sample_rate_hz: float) -> float:
         return float("inf")
 
 
+def _cores() -> int:
+    """How many cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def split_trials(trials: int, work: Callable[[range], None]) -> None:
+    """Run ``work(rows)`` on each worker's share of ``range(trials)``.
+
+    There are min(cores, trials) workers, the calling thread the first
+    and each other on a thread of its own. Worker w takes the w-th of
+    that many contiguous runs of near-equal length, so a lower worker
+    holds lower trials. ``work`` handles its rows in order and stops at
+    its first error; once every worker is done, the error of the lowest
+    worker that raised is raised. That is the error of the lowest failing
+    trial, the one a serial loop over ``range(trials)`` raises.
+    """
+    workers = min(_cores(), trials)
+    bounds = [trials * w // workers for w in range(workers + 1)]
+    errors: list[BaseException | None] = [None] * workers
+
+    def run(w: int) -> None:
+        try:
+            work(range(bounds[w], bounds[w + 1]))
+        except BaseException as exc:
+            errors[w] = exc
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    error = next((exc for exc in errors if exc is not None), None)
+    if error is not None:
+        raise error
+
+
+def _draw_trial(
+    spec: SynthesisSpec, i: int, workspace: SynthesisWorkspace, scale: float
+) -> np.ndarray:
+    """Trial i of a run, in the workspace record.
+
+    That is ``spec`` at seed ``spec.seed + i`` times ``scale``.
+    """
+    samples = synthesize(replace(spec, seed=spec.seed + i), workspace).samples
+    samples *= scale
+    return samples
+
+
 def trial_signals(spec: SynthesisSpec, trials: int) -> Iterator[Signal]:
     """The trials of a Monte Carlo run: trial i is ``spec`` at seed ``spec.seed + i``.
 
@@ -242,6 +304,32 @@ def trial_signals(spec: SynthesisSpec, trials: int) -> Iterator[Signal]:
     workspace = SynthesisWorkspace(spec)
     scale = reference_rate_scale(spec.alpha, spec.sample_rate_hz)
     for i in range(trials):
-        samples = synthesize(replace(spec, seed=spec.seed + i), workspace).samples
-        samples *= scale
-        yield Signal(samples, spec.sample_rate_hz)
+        yield Signal(_draw_trial(spec, i, workspace, scale), spec.sample_rate_hz)
+
+
+def trial_block(spec: SynthesisSpec, trials: int) -> np.ndarray:
+    """The samples of ``trial_signals(spec, trials)`` as the rows of one (trials, n) array.
+
+    The rows are drawn by ``split_trials``' workers. They share one
+    spectral shape; each draws into a complex spectrum of its own and
+    straight into its rows, which serve as its workspace record, so no
+    record is allocated or copied per trial. A block too large to
+    allocate raises MemoryError naming the trial count and the length.
+    """
+    try:
+        records = np.empty((trials, spec.n_samples))
+    except MemoryError as exc:
+        raise MemoryError(
+            f"{trials} trials of {spec.n_samples} samples do not fit in memory: {exc}"
+        ) from None
+    shape = _spectral_shape(spec)
+    scale = reference_rate_scale(spec.alpha, spec.sample_rate_hz)
+
+    def draw(rows: range) -> None:
+        workspace = SynthesisWorkspace(spec, shape, records[rows.start])
+        for i in rows:
+            workspace.record = records[i]
+            _draw_trial(spec, i, workspace, scale)
+
+    split_trials(trials, draw)
+    return records

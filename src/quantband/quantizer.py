@@ -86,8 +86,13 @@ def saturation_count(signal: Signal, cfg: QuantizerConfig) -> int:
     return int(np.count_nonzero(np.abs(signal.samples) > cfg.full_scale / 2.0))
 
 
-def error_signal(original: Signal, quantized: Signal) -> Signal:
-    """Quantization error e[n] = x_q[n] - x[n]."""
+def error_signal(original: Signal, quantized: Signal, out: np.ndarray | None = None) -> Signal:
+    """Quantization error e[n] = x_q[n] - x[n], in a new array or in ``out``.
+
+    ``out=quantized.samples`` forms the error in the quantized record, which
+    then holds the error: a caller done with the quantized samples holds
+    one record-sized buffer instead of two.
+    """
     if original.n_samples != quantized.n_samples:
         raise ValidationError(
             f"length mismatch: {original.n_samples} vs {quantized.n_samples}"
@@ -96,7 +101,8 @@ def error_signal(original: Signal, quantized: Signal) -> Signal:
         raise ValidationError(
             f"sample rate mismatch: {original.sample_rate_hz} vs {quantized.sample_rate_hz}"
         )
-    return Signal(quantized.samples - original.samples, original.sample_rate_hz)
+    error = np.subtract(quantized.samples, original.samples, out=out)
+    return Signal(error, original.sample_rate_hz)
 
 
 def increment_bits(signal: Signal, full_scale: float) -> float:

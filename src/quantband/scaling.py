@@ -16,7 +16,14 @@ from functools import cache
 import numpy as np
 
 from .errors import NoUsableBandError, ValidationError, check_positive
-from .noise import REFERENCE_RATE_HZ, SYNTH_FULL_SCALE, Signal, SynthesisSpec, trial_signals
+from .noise import (
+    REFERENCE_RATE_HZ,
+    SYNTH_FULL_SCALE,
+    Signal,
+    SynthesisSpec,
+    split_trials,
+    trial_block,
+)
 from .quantizer import (
     MAX_BITS,
     QuantizerConfig,
@@ -193,8 +200,13 @@ def error_noise_slope(err: Signal) -> float:
 
 
 def measure_noise_slope(signal: Signal, cfg: QuantizerConfig) -> float:
-    """Quantize, extract e[n] = x_q[n] - x[n], and fit the slope of its PSD."""
-    return error_noise_slope(error_signal(signal, quantize(signal, cfg)))
+    """Quantize, extract e[n] = x_q[n] - x[n], and fit the slope of its PSD.
+
+    The error is formed in the quantized record, the one record-sized
+    buffer a slope holds.
+    """
+    quantized = quantize(signal, cfg)
+    return error_noise_slope(error_signal(signal, quantized, out=quantized.samples))
 
 
 def _first_white(white_at: Callable[[int], bool], start: int, lo: int, hi: int) -> int | None:
@@ -234,7 +246,7 @@ class NoiseColorConfig:
                 raise ValidationError(f"alpha {alpha} is given more than once")
 
     def spec(self, alpha: float) -> SynthesisSpec:
-        """Trial 0's synthesis at ``alpha``, from which ``trial_signals`` draws its trials."""
+        """Trial 0's synthesis at ``alpha``, from which ``trial_block`` draws its trials."""
         return SynthesisSpec(alpha, self.n_samples, REFERENCE_RATE_HZ, seed=self.master_seed)
 
 
@@ -245,10 +257,12 @@ def noise_color_cells(
 
     Returns ``(cell, n_min)``. ``cell(bits)`` is the cell of one depth,
     white when the mean slope over the trials ``is_white``; it is
-    memoized, so each depth is computed once, when first asked for. Trial
-    i of ``trial_signals(cfg.spec(alpha), cfg.trials)`` is copied into row
-    i of one (trials, n_samples) array, which the cells hold. Each record
-    spans SYNTH_FULL_SCALE at REFERENCE_RATE_HZ.
+    memoized, so each depth is computed once, when first asked for. The
+    trials are the rows of ``trial_block(cfg.spec(alpha), cfg.trials)``,
+    which the cells hold. Each record spans SYNTH_FULL_SCALE at
+    REFERENCE_RATE_HZ. A cell's slopes are fitted by ``split_trials``'
+    workers, the slope of trial i into slot i, and averaged in trial
+    order, so the cell is the same at any worker count.
 
     ``n_min`` is what the search finds through ``cell``: it computes
     depth ceil(b - N_MIN_OFFSET) first, b the trials' mean
@@ -257,17 +271,21 @@ def noise_color_cells(
     ``_first_white``).
     """
     n_lo, n_hi = cfg.bit_range
-    records = np.empty((cfg.trials, cfg.n_samples))
-    # enumerate, not zip: the source runs to its end, and so frees its workspace.
-    for i, signal in enumerate(trial_signals(cfg.spec(alpha), cfg.trials)):
-        records[i] = signal.samples
+    records = trial_block(cfg.spec(alpha), cfg.trials)
     signals = [Signal(record, REFERENCE_RATE_HZ) for record in records]
     b_mean = np.mean([increment_bits(sig, SYNTH_FULL_SCALE) for sig in signals])
 
     @cache
     def cell(bits: int) -> NoiseColorCell:
         qcfg = QuantizerConfig(bits=bits, full_scale=SYNTH_FULL_SCALE)
-        mean_slope = float(np.mean([measure_noise_slope(sig, qcfg) for sig in signals]))
+        slopes = np.empty(cfg.trials)
+
+        def fit(rows: range) -> None:
+            for i in rows:
+                slopes[i] = measure_noise_slope(signals[i], qcfg)
+
+        split_trials(cfg.trials, fit)
+        mean_slope = float(np.mean(slopes))
         return NoiseColorCell(alpha, bits, mean_slope, is_white(mean_slope))
 
     start = int(np.clip(np.ceil(b_mean - N_MIN_OFFSET), n_lo, n_hi))

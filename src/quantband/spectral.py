@@ -75,6 +75,40 @@ class SpectralFit:
             return float(np.power(10.0, self.intercept_log10))
 
 
+def _power_sum(segments: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Sum of |rfft(window * (segment - its mean))|^2 over the rows of ``segments``.
+
+    The segments are streamed through blocks of WELCH_BLOCK_SEGMENTS, so
+    the temporaries stay a few segments long at any signal length: one
+    block of windowed segments and one of their spectra, which every
+    block reuses, and |X|^2 is written where the windowed segments were.
+    Each block's |X|^2 rows are added to the total in segment order, the
+    sum numpy's mean over the stacked segments forms, so the total is
+    bit-identical to transforming every segment at once.
+    """
+    segment_len = window.size
+    total = np.zeros(segment_len // 2 + 1)
+    rows = min(WELCH_BLOCK_SEGMENTS, len(segments))
+    windowed = np.empty((rows, segment_len))
+    spectra = np.empty((rows, total.size), dtype=np.complex128)
+    for start in range(0, len(segments), WELCH_BLOCK_SEGMENTS):
+        block = segments[start : start + WELCH_BLOCK_SEGMENTS]
+        detrended, spectrum = windowed[: len(block)], spectra[: len(block)]
+        # np.mean's sum and division, without its per-call Python wrapper.
+        np.subtract(block, np.add.reduce(block, axis=1, keepdims=True) / segment_len, out=detrended)
+        for row in detrended:  # a whole-block in-place multiply allocates a 64 KB buffer
+            row *= window
+        np.fft.rfft(detrended, out=spectrum)
+        # Square re and im where they lie, then add each pair: re^2 + im^2.
+        parts = spectrum.view(np.float64)
+        np.square(parts, out=parts)
+        power = windowed.reshape(-1)[: parts.size // 2].reshape(len(block), total.size)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power)
+        for row in power:
+            total += row
+    return total
+
+
 def _welch_density(
     x: np.ndarray, fs: float, segment_len: int, noverlap: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -84,28 +118,11 @@ def _welch_density(
     noverlap`` samples; samples past the last whole segment are dropped.
     Each segment has its mean removed and a periodic Hann window applied.
     Returns the full rfft grid, DC included.
-
-    The segments are streamed through blocks of WELCH_BLOCK_SEGMENTS, so
-    the temporaries stay a few segments long at any signal length. Each
-    block's |X|^2 rows are added to one running total in segment order,
-    the sum numpy's mean over the stacked segments forms, so the output
-    is bit-identical to transforming every segment at once.
     """
     step = segment_len - noverlap
     segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
-    total = np.zeros(segment_len // 2 + 1)
-    for start in range(0, len(segments), WELCH_BLOCK_SEGMENTS):
-        block = segments[start : start + WELCH_BLOCK_SEGMENTS]
-        # np.mean's sum and division, without its per-call Python wrapper.
-        detrended = block - np.add.reduce(block, axis=1, keepdims=True) / segment_len
-        detrended *= window
-        spectra = np.fft.rfft(detrended)
-        power = np.square(spectra.real)
-        power += np.square(spectra.imag)
-        for row in power:
-            total += row
-    density = total / len(segments) / (fs * np.dot(window, window))
+    density = _power_sum(segments, window) / len(segments) / (fs * np.dot(window, window))
     # Fold the negative frequencies in: every bin but DC and, for even
     # lengths, Nyquist appears twice in the two-sided spectrum.
     density[1 : segment_len - segment_len // 2] *= 2.0

@@ -55,12 +55,11 @@ def table2_sweep():
 @pytest.fixture(scope="session")
 def n_min_battery():
     """The five default N_min answers, and how many noise slopes they fitted."""
-    calls = 0
+    calls = []
     fit = scaling.measure_noise_slope
 
     def counted(signal, cfg):
-        nonlocal calls
-        calls += 1
+        calls.append(cfg)  # one atomic append per slope, whichever worker fits it
         return fit(signal, cfg)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -69,7 +68,7 @@ def n_min_battery():
             alpha: find_n_min(alpha, (4, 12), trials=20, master_seed=DEFAULT_SEED)
             for alpha in N_MIN_ALPHAS
         }
-    return answers, calls
+    return answers, len(calls)
 
 
 @pytest.fixture(scope="session")

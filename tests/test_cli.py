@@ -624,22 +624,33 @@ def test_signal_level_under_min_full_scale_exits_two_naming_its_peak(
             FILE_SPAN.format(name, f"at least 1e-100, got {span:g}"))
 
 
+NUMPY_REFUSAL = r"Unable to allocate [\d.]+ EiB for an array with shape .*\n"
+# A refused trial block names the grid that asked for it.
+BLOCK_REFUSAL = r"1000000000 trials of 1000000000 samples do not fit in memory: " + NUMPY_REFUSAL
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        "nmin --alpha 2 --trials 1000000000 --n 1000000000 --bits 4:6",
-        "noise-color --alpha 2 --trials 1000000000 --n 1000000000 --bits 4:6 --out nc.json",
-        "synth --alpha 2 --fs 2000 --n 1000000000000000000 --out x.f64",
-        "validate --n 1000000000000000000 --trials 1 --out v.json",
+        pytest.param(argv, message, id=argv.split()[0])
+        for argv, message in [
+            ("nmin --alpha 2 --trials 1000000000 --n 1000000000 --bits 4:6", BLOCK_REFUSAL),
+            (
+                "noise-color --alpha 2 --trials 1000000000 --n 1000000000 --bits 4:6 "
+                "--out nc.json",
+                BLOCK_REFUSAL,
+            ),
+            ("synth --alpha 2 --fs 2000 --n 1000000000000000000 --out x.f64", NUMPY_REFUSAL),
+            ("validate --n 1000000000000000000 --trials 1 --out v.json", NUMPY_REFUSAL),
+        ]
     ],
-    ids=lambda argv: argv.split()[0],
 )
-def test_refused_allocation_exits_one(argv, tmp_path, monkeypatch, capsys):
+def test_refused_allocation_exits_one(argv, message, tmp_path, monkeypatch, capsys):
     # Each asks for 3.5 to 6.9 EiB, past any 64-bit address space, so it
     # fails at once and touches no memory.
     code, out, err, _ = run_in(tmp_path, monkeypatch, capsys, argv)
     assert (code, out) == (1, "")
-    assert re.fullmatch(r"error: Unable to allocate [\d.]+ EiB for an array with shape .*\n", err)
+    assert re.fullmatch("error: " + message, err)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,5 +1,7 @@
 import inspect
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -335,6 +337,63 @@ class TestRunNoiseColorSweep:
         )
         run_noise_color_sweep(NoiseColorConfig(alphas, (4, 6), 3, master_seed=1, n_samples=4096))
         assert calls == alphas
+
+    @pytest.mark.parametrize("trials", [1, 3, 5])
+    def test_worker_count_changes_no_number(self, trials, monkeypatch):
+        # Trials and slopes are split over min(cores, trials) workers, the
+        # calling thread one of them; each slope has its own slot, and the
+        # mean is taken in trial order. The threads switch every microsecond,
+        # so a lost or misplaced write would show.
+        cfg = NoiseColorConfig((1.5, 2.5), (3, 7), trials, master_seed=21, n_samples=4096)
+        fit, calls = scaling.measure_noise_slope, []
+        monkeypatch.setattr(
+            scaling,
+            "measure_noise_slope",
+            lambda sig, qcfg: calls.append((qcfg, threading.current_thread())) or fit(sig, qcfg),
+        )
+        runs = []
+        for cores in (1, 2, 3, 8):
+            monkeypatch.setattr(noise, "_cores", lambda: cores)
+            calls.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                sweep = run_noise_color_sweep(cfg)
+                answers = [find_n_min(a, cfg.bit_range, trials, 21, 4096) for a in cfg.alphas]
+            finally:
+                sys.setswitchinterval(interval)
+            runs.append((sweep, answers))
+            # Each cell has a config of its own; these are its workers.
+            workers = {}
+            for qcfg, thread in calls:
+                workers.setdefault(id(qcfg), set()).add(thread)
+            for threads in workers.values():
+                assert len(threads) == min(cores, trials)
+                assert threading.current_thread() in threads
+        for sweep, answers in runs[1:]:
+            assert sweep == runs[0][0]
+            assert answers == runs[0][1] == list(sweep.n_min.values())
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_a_failing_slope_raises_the_serial_error(self, cores, monkeypatch):
+        # Trials 2 to 4 all fail. At three workers, trials 1-2 and 3-4 each
+        # fail on a thread of their own; trial 2's error surfaces, the one
+        # a serial loop raises.
+        cfg = NoiseColorConfig((2.0,), (4, 6), trials=5, master_seed=3, n_samples=4096)
+        trial_of = {row[0]: i for i, row in enumerate(noise.trial_block(cfg.spec(2.0), 5))}
+        assert len(trial_of) == 5
+        fit = scaling.measure_noise_slope
+
+        def failing(sig, qcfg):
+            i = trial_of[sig.samples[0]]
+            if i >= 2:
+                raise RuntimeError(f"trial {i}")
+            return fit(sig, qcfg)
+
+        monkeypatch.setattr(noise, "_cores", lambda: cores)
+        monkeypatch.setattr(scaling, "measure_noise_slope", failing)
+        with pytest.raises(RuntimeError, match="^trial 2$"):
+            run_noise_color_sweep(cfg)
 
     def test_traced_peak_holds_one_alpha_at_a_time(self, traced_peak):
         # Each alpha's (trials, n) block is dropped before the next alpha's

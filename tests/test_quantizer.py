@@ -144,6 +144,14 @@ class TestErrorSignal:
         with pytest.raises(ValidationError):
             error_signal(a, b)
 
+    def test_out_takes_the_error_in_place(self):
+        cfg = QuantizerConfig(bits=6, full_scale=2.0)
+        sig = synthesize(SynthesisSpec(2.0, 4096, 2000.0, seed=3))
+        quantized = quantize(sig, cfg)
+        err = error_signal(sig, quantized, out=quantized.samples)
+        assert err.samples is quantized.samples
+        assert np.array_equal(err.samples, error_signal(sig, quantize(sig, cfg)).samples)
+
     def test_bennett_variance_on_colored_signal(self):
         cfg = QuantizerConfig(bits=8, full_scale=2.0)
         sig = synthesize(SynthesisSpec(2.0, 100_000, 2000.0, seed=3))

@@ -301,6 +301,15 @@ class TestNoiseColor:
         assert not is_white(slope)
         assert slope < -0.5
 
+    def test_a_slope_holds_one_record(self, traced_peak):
+        # The error is formed in the quantized record. The rest is one
+        # Welch block of windowed segments and their spectra, 0.39 records
+        # here; an error in an array of its own reads 2.13 records.
+        n = 100_000
+        sig = synthesize(SynthesisSpec(2.0, n, 2000.0, seed=8))
+        cfg = QuantizerConfig(bits=6, full_scale=2.0)
+        assert traced_peak(measure_noise_slope, sig, cfg) < 1.5 * 8 * n
+
     @pytest.mark.parametrize(
         "slope, white",
         [(0.0, True), (-0.0999, True), (0.0999, True), (-0.1, False), (0.1, False), (-1.2, False)],
