@@ -1,7 +1,7 @@
 """End-to-end experiment runners and their report types.
 
 Each runner is deterministic under a fixed master seed: its trial i is
-synthesized at seed master_seed + i, by ``noise.trial_signals``.
+synthesized at seed master_seed + i, by ``noise.trial_signals`` or ``noise.trial_block``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .noise import (
 from .quantizer import (
     QuantizerConfig,
     check_span,
-    error_signal,
     quantize,
     saturation_count,
     theoretical_noise_floor,
@@ -501,12 +500,12 @@ def analyze_signal(signal: Signal, cfg: QuantizerConfig) -> AnalysisReport:
     check_fit_samples(signal.n_samples)
     psd = record_psd(signal)
     fit = fit_slope(psd)
-    # One quantization feeds both the noise slope and the empirical floor.
+    # The floor is read from the quantized record before the slope forms the error in it.
     quantized = quantize(signal, cfg)
-    noise_slope = error_noise_slope(error_signal(signal, quantized))
+    floor_emp = empirical_noise_floor(record_psd(quantized))
+    noise_slope = error_noise_slope(signal, quantized)
 
     floor_th = theoretical_noise_floor(cfg, signal.sample_rate_hz)
-    floor_emp = empirical_noise_floor(record_psd(quantized))
     cut_th = detect_cutoff(psd, floor_th, FLOOR_THEORETICAL)
     cut_emp = detect_cutoff(psd, floor_emp, FLOOR_EMPIRICAL)
     pred_fc = _fitted_cutoff(fit, signal.sample_rate_hz, cfg)

@@ -19,6 +19,7 @@ import os
 import sys
 import threading
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -166,6 +167,15 @@ def _spectral_shape(spec: SynthesisSpec) -> np.ndarray:
     return shape
 
 
+@contextmanager
+def _refusal_named(what: str) -> Iterator[None]:
+    """Re-raise a MemoryError in the block as one that starts with ``what``."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"{what}: {exc}") from None
+
+
 class SynthesisWorkspace:
     """The buffers of a synthesis: the spectral shape, a complex spectrum, a record.
 
@@ -175,7 +185,7 @@ class SynthesisWorkspace:
     Workspaces given one ``shape`` share it, read-only. The ``record``, by
     default a new array, may be any contiguous ``spec.n_samples`` floats,
     a row of a larger array included, and may be pointed elsewhere
-    between syntheses.
+    between syntheses. A refused allocation names the record's length.
     """
 
     def __init__(
@@ -184,9 +194,10 @@ class SynthesisWorkspace:
         shape: np.ndarray | None = None,
         record: np.ndarray | None = None,
     ):
-        self.shape = _spectral_shape(spec) if shape is None else shape
-        self.spectrum = np.empty(self.shape.size, dtype=np.complex128)
-        self.record = np.empty(spec.n_samples) if record is None else record
+        with _refusal_named(f"a record of {spec.n_samples} samples does not fit in memory"):
+            self.shape = _spectral_shape(spec) if shape is None else shape
+            self.spectrum = np.empty(self.shape.size, dtype=np.complex128)
+            self.record = np.empty(spec.n_samples) if record is None else record
 
 
 def synthesize(spec: SynthesisSpec, workspace: SynthesisWorkspace | None = None) -> Signal:
@@ -281,30 +292,27 @@ def split_trials(trials: int, work: Callable[[range], None]) -> None:
         raise error
 
 
-def _draw_trial(
-    spec: SynthesisSpec, i: int, workspace: SynthesisWorkspace, scale: float
-) -> np.ndarray:
+def _draw_trial(spec: SynthesisSpec, i: int, workspace: SynthesisWorkspace) -> np.ndarray:
     """Trial i of a run, in the workspace record.
 
-    That is ``spec`` at seed ``spec.seed + i`` times ``scale``.
+    That is ``spec`` at seed ``spec.seed + i``, scaled in place by
+    ``reference_rate_scale``, exactly 1.0 at REFERENCE_RATE_HZ.
     """
     samples = synthesize(replace(spec, seed=spec.seed + i), workspace).samples
-    samples *= scale
+    samples *= reference_rate_scale(spec.alpha, spec.sample_rate_hz)
     return samples
 
 
 def trial_signals(spec: SynthesisSpec, trials: int) -> Iterator[Signal]:
     """The trials of a Monte Carlo run: trial i is ``spec`` at seed ``spec.seed + i``.
 
-    Each is synthesized through one ``SynthesisWorkspace`` per call and
-    scaled in place by ``reference_rate_scale``, exactly 1.0 at
-    REFERENCE_RATE_HZ. A yielded signal aliases the workspace record until
-    the next trial is drawn, so a caller that keeps a trial copies it.
+    Each is drawn by ``_draw_trial`` through one ``SynthesisWorkspace`` per
+    call. A yielded signal aliases the workspace record until the next
+    trial is drawn, so a caller that keeps a trial copies it.
     """
     workspace = SynthesisWorkspace(spec)
-    scale = reference_rate_scale(spec.alpha, spec.sample_rate_hz)
     for i in range(trials):
-        yield Signal(_draw_trial(spec, i, workspace, scale), spec.sample_rate_hz)
+        yield Signal(_draw_trial(spec, i, workspace), spec.sample_rate_hz)
 
 
 def trial_block(spec: SynthesisSpec, trials: int) -> np.ndarray:
@@ -316,20 +324,15 @@ def trial_block(spec: SynthesisSpec, trials: int) -> np.ndarray:
     record is allocated or copied per trial. A block too large to
     allocate raises MemoryError naming the trial count and the length.
     """
-    try:
+    with _refusal_named(f"{trials} trials of {spec.n_samples} samples do not fit in memory"):
         records = np.empty((trials, spec.n_samples))
-    except MemoryError as exc:
-        raise MemoryError(
-            f"{trials} trials of {spec.n_samples} samples do not fit in memory: {exc}"
-        ) from None
     shape = _spectral_shape(spec)
-    scale = reference_rate_scale(spec.alpha, spec.sample_rate_hz)
 
     def draw(rows: range) -> None:
         workspace = SynthesisWorkspace(spec, shape, records[rows.start])
         for i in rows:
             workspace.record = records[i]
-            _draw_trial(spec, i, workspace, scale)
+            _draw_trial(spec, i, workspace)
 
     split_trials(trials, draw)
     return records

@@ -82,8 +82,9 @@ def quantize(signal: Signal, cfg: QuantizerConfig) -> Signal:
 
 
 def saturation_count(signal: Signal, cfg: QuantizerConfig) -> int:
-    """Number of samples strictly outside [-R/2, R/2]."""
-    return int(np.count_nonzero(np.abs(signal.samples) > cfg.full_scale / 2.0))
+    """Number of samples strictly outside [-R/2, R/2], counted with no |x| copy."""
+    half = cfg.full_scale / 2.0
+    return int(np.count_nonzero(signal.samples > half) + np.count_nonzero(signal.samples < -half))
 
 
 def error_signal(original: Signal, quantized: Signal, out: np.ndarray | None = None) -> Signal:

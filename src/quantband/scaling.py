@@ -194,19 +194,14 @@ def detect_cutoff(
     return CutoffEstimate(f_c, float(floor_value), floor_method, exceeded_nyquist=not starts_hz.size)
 
 
-def error_noise_slope(err: Signal) -> float:
-    """Slope of a quantization error's PSD over the default fit band."""
-    return fit_slope(record_psd(err)).slope
+def error_noise_slope(signal: Signal, quantized: Signal) -> float:
+    """Slope of the PSD of e[n] = x_q[n] - x[n], formed in ``quantized``, which then holds it."""
+    return fit_slope(record_psd(error_signal(signal, quantized, out=quantized.samples))).slope
 
 
 def measure_noise_slope(signal: Signal, cfg: QuantizerConfig) -> float:
-    """Quantize, extract e[n] = x_q[n] - x[n], and fit the slope of its PSD.
-
-    The error is formed in the quantized record, the one record-sized
-    buffer a slope holds.
-    """
-    quantized = quantize(signal, cfg)
-    return error_noise_slope(error_signal(signal, quantized, out=quantized.samples))
+    """Quantize and fit the slope of the quantization error's PSD (``error_noise_slope``)."""
+    return error_noise_slope(signal, quantize(signal, cfg))
 
 
 def _first_white(white_at: Callable[[int], bool], start: int, lo: int, hi: int) -> int | None:

@@ -80,9 +80,9 @@ def n_min_answers(n_min_battery):
 def synthesis_calls(monkeypatch):
     """The spec of every signal the runners and ``synth`` synthesize, in order.
 
-    Patches ``noise.synthesize``, which ``noise.trial_signals``, the one
-    source of every runner's trials, looks up, and ``cli.synthesize``;
-    each call still synthesizes.
+    Patches ``noise.synthesize``, which ``noise.trial_signals`` and
+    ``noise.trial_block``, the sources of every runner's trials, look up,
+    and ``cli.synthesize``; each call still synthesizes.
     """
     calls = []
 

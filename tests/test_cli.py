@@ -625,8 +625,9 @@ def test_signal_level_under_min_full_scale_exits_two_naming_its_peak(
 
 
 NUMPY_REFUSAL = r"Unable to allocate [\d.]+ EiB for an array with shape .*\n"
-# A refused trial block names the grid that asked for it.
+# A refused trial block names the grid that asked for it, a refused workspace its record.
 BLOCK_REFUSAL = r"1000000000 trials of 1000000000 samples do not fit in memory: " + NUMPY_REFUSAL
+RECORD_REFUSAL = r"a record of 1000000000000000000 samples does not fit in memory: " + NUMPY_REFUSAL
 
 
 @pytest.mark.parametrize(
@@ -640,8 +641,8 @@ BLOCK_REFUSAL = r"1000000000 trials of 1000000000 samples do not fit in memory: 
                 "--out nc.json",
                 BLOCK_REFUSAL,
             ),
-            ("synth --alpha 2 --fs 2000 --n 1000000000000000000 --out x.f64", NUMPY_REFUSAL),
-            ("validate --n 1000000000000000000 --trials 1 --out v.json", NUMPY_REFUSAL),
+            ("synth --alpha 2 --fs 2000 --n 1000000000000000000 --out x.f64", RECORD_REFUSAL),
+            ("validate --n 1000000000000000000 --trials 1 --out v.json", RECORD_REFUSAL),
         ]
     ],
 )

@@ -111,6 +111,22 @@ class TestQuantize:
         sig = Signal(np.array([0.0, 0.5, 1.5, -3.0]), 100.0)
         assert saturation_count(sig, cfg) == 2
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-4.0, 4.0),
+                st.sampled_from([-1.5, 1.5, -0.0, 0.0, np.nextafter(1.5, 2), -1e300, 1e300]),
+            ),
+            min_size=2,
+            max_size=50,
+        )
+    )
+    def test_saturation_count_counts_what_abs_counts(self, values):
+        # +-R/2 itself and -0.0 are inside the range; R/2 = 1.5 here.
+        cfg = QuantizerConfig(bits=3, full_scale=3.0)
+        x = np.array(values, dtype=np.float64)
+        assert saturation_count(Signal(x, 100.0), cfg) == np.count_nonzero(np.abs(x) > 1.5)
+
     @pytest.mark.parametrize("full_scale", [2.0, 3.7, 1e-3])
     @pytest.mark.parametrize("bits", range(1, 20))
     def test_doubling_the_input_costs_one_bit_exactly(self, bits, full_scale):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantband.errors import NoUsableBandError, ValidationError
+from quantband.experiments import analyze_signal
 from quantband.noise import Signal, SynthesisSpec, synthesize, trial_signals
 from quantband.quantizer import (
     MAX_BITS,
@@ -309,6 +310,17 @@ class TestNoiseColor:
         sig = synthesize(SynthesisSpec(2.0, n, 2000.0, seed=8))
         cfg = QuantizerConfig(bits=6, full_scale=2.0)
         assert traced_peak(measure_noise_slope, sig, cfg) < 1.5 * 8 * n
+
+    def test_an_analysis_holds_one_record_beside_its_input(self, traced_peak):
+        # analyze reads its floor from the quantized record and then forms
+        # the error in it, as every slope does: 1.44 records here, against
+        # 2.44 with the error in an array of its own. The warm-up call
+        # leaves out what a first call allocates once.
+        n = 100_000
+        sig = synthesize(SynthesisSpec(2.0, n, 2000.0, seed=8))
+        cfg = QuantizerConfig(bits=6, full_scale=2.0)
+        analyze_signal(sig, cfg)
+        assert traced_peak(analyze_signal, sig, cfg) < 1.6 * 8 * n
 
     @pytest.mark.parametrize(
         "slope, white",
